@@ -14,10 +14,6 @@
 /// difficulty rule plus myopic profitability-chasers yields the 2017
 /// hashrate sawtooth (Figure 1b's fine structure), while game-semantics
 /// miners settle.
-///
-/// `--compare-scan` replays every Part B/C scenario (and one Part A
-/// replica per horizon) on the legacy `chain::EventQueue` engine and
-/// requires bit-identical trajectories against the flat event core.
 
 #include <algorithm>
 #include <cmath>
@@ -25,7 +21,6 @@
 #include "bench_common.hpp"
 #include "chain/chain_sim.hpp"
 #include "chain/difficulty.hpp"
-#include "engine/sweep.hpp"
 #include "sim/trajectory.hpp"
 
 namespace {
@@ -37,7 +32,6 @@ int run(int argc, char** argv) {
   const std::uint64_t seed0 = cli.get_u64("seed", 9);
   const bool quick = cli.get_bool("quick", false);
   const std::size_t threads = cli.get_u64("threads", 0);  // 0 = all cores
-  const bool compare_scan = cli.get_bool("compare-scan", false);
   const std::size_t replicas = cli.get_u64("replicas", quick ? 4 : 16);
   // --adaptive: replace the fixed replica count with a CI-driven stopping
   // rule on share_mae — replicas is then the floor, 8x replicas the cap.
@@ -50,10 +44,8 @@ int run(int argc, char** argv) {
                 "Part A is a Monte Carlo batch (mean ± 95% CI over " +
                     std::to_string(replicas) + " replicas).");
 
-  bool scans_identical = true;
   // Builds the Part A single-chain validation scenario.
-  const auto make_validation = [&](double days, sim::EngineKind engine,
-                                   std::uint64_t seed) {
+  const auto make_validation = [&](double days, std::uint64_t seed) {
     std::vector<ChainSpec> chains;
     chains.push_back(ChainSpec{"solo", 600.0, 1.0 / 6.0, 10.0,
                                std::make_unique<FixedWindowRetarget>(
@@ -62,7 +54,6 @@ int run(int argc, char** argv) {
     opts.duration_hours = days * 24.0;
     opts.policy = MinerPolicy::kStatic;
     opts.seed = seed;
-    opts.engine = engine;
     opts.record_timeline = false;
     return MultiChainSimulator({100.0, 50.0, 30.0, 20.0}, std::move(chains),
                                opts);
@@ -98,8 +89,7 @@ int run(int argc, char** argv) {
     const sim::TrajectoryBatchResult result = sim::run_trajectory_batch(
         {"blocks", "share_mae", "largest_realized"}, batch,
         [&](std::size_t, std::uint64_t seed) {
-          MultiChainSimulator sim =
-              make_validation(days, sim::EngineKind::kFlat, seed);
+          MultiChainSimulator sim = make_validation(days, seed);
           const ChainSimResult r = sim.run();
           double total = 0.0;
           for (const double v : r.miner_rewards_fiat) total += v;
@@ -117,43 +107,17 @@ int run(int argc, char** argv) {
                 << fmt_double(result.summary("share_mae").ci95_halfwidth, 4)
                 << fmt_double(result.summary("largest_realized").mean, 3)
                 << fmt_double(0.5, 3);
-    if (compare_scan) {
-      // One replica per horizon replayed on the legacy engine.
-      const std::uint64_t seed = engine::task_seed(batch.root_seed, 0, 0);
-      MultiChainSimulator flat =
-          make_validation(days, sim::EngineKind::kFlat, seed);
-      MultiChainSimulator legacy =
-          make_validation(days, sim::EngineKind::kLegacy, seed);
-      scans_identical =
-          scans_identical && sim::chain_result_hash(flat.run()) ==
-                                 sim::chain_result_hash(legacy.run());
-    }
   }
   bench::emit(cli, share,
               "Part A — reward share vs power share, Monte Carlo "
               "(theory: MAE -> 0 as horizon grows)",
               "share");
 
-  // Runs a Part B/C scenario; with --compare-scan, also on the legacy
-  // engine, requiring bit-identical trajectories.
-  const auto run_checked = [&](auto make_sim) {
-    MultiChainSimulator flat = make_sim(sim::EngineKind::kFlat);
-    ChainSimResult result = flat.run();
-    if (compare_scan) {
-      MultiChainSimulator legacy = make_sim(sim::EngineKind::kLegacy);
-      scans_identical = scans_identical &&
-                        sim::chain_result_hash(result) ==
-                            sim::chain_result_hash(legacy.run());
-    }
-    return result;
-  };
-
   // Part B: migration equilibrium from chain dynamics.
   Table split({"weights", "predicted_heavy_share", "simulated_heavy_share"});
   for (const auto& [heavy, light] :
        std::vector<std::pair<double, double>>{{30, 10}, {20, 20}, {50, 10}}) {
-    const auto result = run_checked([&, heavy = heavy,
-                                     light = light](sim::EngineKind engine) {
+    const auto result = [&, heavy = heavy, light = light] {
       std::vector<ChainSpec> chains;
       chains.push_back(
           ChainSpec{"heavy", 600.0, 1.0 / 6.0, heavy,
@@ -166,10 +130,10 @@ int run(int argc, char** argv) {
       opts.policy = MinerPolicy::kBetterResponse;
       opts.reevaluation_fraction = 0.5;
       opts.seed = seed0 + 1;
-      opts.engine = engine;
       std::vector<double> powers(16, 10.0);
-      return MultiChainSimulator(std::move(powers), std::move(chains), opts);
-    });
+      return MultiChainSimulator(std::move(powers), std::move(chains), opts)
+          .run();
+    }();
     const auto& last = result.timeline.back();
     const double total = last.hashrate[0] + last.hashrate[1];
     split.row() << (fmt_double(heavy, 0) + ":" + fmt_double(light, 0))
@@ -185,7 +149,7 @@ int run(int argc, char** argv) {
   Table churn({"policy", "migrations", "late_share_changes", "bch_share_sd%"});
   for (const MinerPolicy policy :
        {MinerPolicy::kMyopicDifficulty, MinerPolicy::kBetterResponse}) {
-    const auto result = run_checked([&](sim::EngineKind engine) {
+    const auto result = [&] {
       std::vector<ChainSpec> chains;
       chains.push_back(
           ChainSpec{"btc", 20.0, 1.0 / 6.0, 60.0,
@@ -198,10 +162,10 @@ int run(int argc, char** argv) {
       opts.policy = policy;
       opts.reevaluation_fraction = 0.5;
       opts.seed = seed0 + 2;
-      opts.engine = engine;
       std::vector<double> powers(12, 10.0);
-      return MultiChainSimulator(std::move(powers), std::move(chains), opts);
-    });
+      return MultiChainSimulator(std::move(powers), std::move(chains), opts)
+          .run();
+    }();
     std::size_t late_changes = 0;
     double mean = 0.0, m2 = 0.0;
     std::size_t count = 0;
@@ -232,11 +196,6 @@ int run(int argc, char** argv) {
               "game-semantics miners settle",
               "churn");
 
-  if (compare_scan) {
-    std::cout << "[legacy replay: trajectories "
-              << (scans_identical ? "bit-identical" : "DIVERGED") << "]\n";
-    if (!scans_identical) return 1;
-  }
   return 0;
 }
 

@@ -18,7 +18,6 @@
 
 #include "bench_common.hpp"
 #include "market/fig1_replay.hpp"
-#include "engine/sweep.hpp"
 #include "market/scenario.hpp"
 #include "sim/trajectory.hpp"
 
@@ -36,7 +35,6 @@ int run(int argc, char** argv) {
   params.seed = cli.get_u64("seed", 1711);
   const bool quick = cli.get_bool("quick", false);
   const std::size_t threads = cli.get_u64("threads", 0);  // 0 = all cores
-  const bool compare_scan = cli.get_bool("compare-scan", false);
   const std::size_t replicas = cli.get_u64("replicas", quick ? 4 : 12);
   // --adaptive: stop the replay batch once the flip-window share's 95% CI
   // is inside 2 percentage points (replicas = floor, 8x replicas = cap).
@@ -149,36 +147,13 @@ int run(int argc, char** argv) {
             << fmt_double(replay.summary("migrations").mean, 0)
             << " migrations/replica\n";
 
-  bool scans_identical = true;
-  if (compare_scan) {
-    // One replica replayed on the legacy EventQueue engine: the coupled
-    // chain trajectories must be bit-identical, series included.
-    Fig1ReplayParams one = replay_params;
-    one.seed = engine::task_seed(batch.root_seed, 0, 0);
-    one.engine = sim::EngineKind::kFlat;
-    const Fig1ReplayResult flat = run_fig1_replay(one);
-    one.engine = sim::EngineKind::kLegacy;
-    const Fig1ReplayResult legacy = run_fig1_replay(one);
-    scans_identical = flat.migrations == legacy.migrations &&
-                      flat.peak_minor_share == legacy.peak_minor_share &&
-                      flat.series.size() == legacy.series.size();
-    for (std::size_t i = 0; scans_identical && i < flat.series.size(); ++i) {
-      scans_identical =
-          flat.series[i].minor_hash == legacy.series[i].minor_hash &&
-          flat.series[i].major_hash == legacy.series[i].major_hash &&
-          flat.series[i].minor_difficulty == legacy.series[i].minor_difficulty;
-    }
-    std::cout << "[legacy replay: trajectories "
-              << (scans_identical ? "bit-identical" : "DIVERGED") << "]\n";
-  }
-
   const sim::MetricSummary& pre_s = replay.summary("pre_shock_share");
   const sim::MetricSummary& flip_s = replay.summary("flip_window_share");
   const sim::MetricSummary& post_s = replay.summary("post_revert_share");
   const bool replay_ok =
       flip_s.mean > pre_s.mean && post_s.mean < flip_s.mean;
   std::cout << "replay shape check: " << (replay_ok ? "OK" : "FAIL") << "\n";
-  return (peak > pre && post < peak && replay_ok && scans_identical) ? 0 : 1;
+  return (peak > pre && post < peak && replay_ok) ? 0 : 1;
 }
 
 }  // namespace

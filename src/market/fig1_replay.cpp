@@ -86,7 +86,6 @@ Fig1ReplayResult run_fig1_replay(const Fig1ReplayParams& params) {
   options.reevaluation_fraction = params.reevaluation_fraction;
   options.myopic_hysteresis = params.hysteresis;
   options.seed = params.seed ^ 0xF161;
-  options.engine = params.engine;
   options.epoch_lanes = params.epoch_lanes;
 
   chain::MultiChainSimulator sim(std::move(powers), std::move(chains), options,

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/moves.hpp"
+#include "sim/event_core.hpp"
 #include "util/assert.hpp"
 
 namespace goc::market {
@@ -62,16 +62,15 @@ const Game& MarketSimulator::current_game() const {
 
 void MarketSimulator::ensure_workspace() {
   if (ws_) return;
-  ws_ = std::make_unique<EpochWorkspace>(
-      system_, config_, options_.engine == sim::EngineKind::kFlat);
+  ws_ = std::make_unique<EpochWorkspace>(system_, config_);
 }
 
 void MarketSimulator::step_coin_price(std::size_t c, EpochRecord& record) {
   record.prices[c] = coins_[c].price->step(options_.epoch_hours, rng_);
 }
 
-void MarketSimulator::step_coin_fees(std::size_t c, EpochRecord& record,
-                                     std::vector<Rational>& weights) {
+void MarketSimulator::step_coin_fees(std::size_t c, EpochRecord& record) {
+  std::vector<Rational>& weights = ws_->weights;
   CoinSpec& coin = coins_[c];
   coin.fees.accrue(options_.epoch_hours, rng_);
   const double fees_native = coin.fees.collect();
@@ -85,43 +84,27 @@ void MarketSimulator::step_coin_fees(std::size_t c, EpochRecord& record,
   if (!weights[c].is_positive()) weights[c] = Rational(1, 1000000);
 }
 
-void MarketSimulator::finish_epoch(EpochRecord& record,
-                                   std::vector<Rational>& weights) {
-  // Induced game and partial better-response adjustment.
+void MarketSimulator::finish_epoch(EpochRecord& record) {
+  // Induced game and partial better-response adjustment. Zero-rebuild:
+  // swap this epoch's weights into the workspace game and
+  // reweight-invalidate the index — no Game, RewardFunction or index
+  // construction, no allocation.
   Game& game = ws_->game;
+  game.reweight(ws_->weights);
+  dynamics::BestResponseIndex& index = ws_->index;
+  index.reweight();
   const std::uint64_t cap = options_.br_steps_per_epoch == 0
                                 ? UINT64_MAX
                                 : options_.br_steps_per_epoch;
   std::uint64_t steps = 0;
-  if (options_.engine == sim::EngineKind::kFlat) {
-    // Zero-rebuild path: swap this epoch's weights into the workspace game
-    // and reweight-invalidate the index — no Game, RewardFunction or index
-    // construction, no allocation. pick_indexed picks the exact move pick
-    // would and draws the same variates, so the trajectory matches the
-    // legacy rebuild path bit-for-bit.
-    game.reweight(weights);
-    dynamics::BestResponseIndex& index = *ws_->index;
-    index.reweight();
-    while (steps < cap) {
-      const auto move = scheduler_->pick_indexed(game, config_, index);
-      if (!move) break;
-      config_.move(move->miner, move->to);
-      index.sync(config_);
-      ++steps;
-    }
-    record.at_equilibrium = index.at_equilibrium();
-  } else {
-    // Legacy reference: genuinely rebuild the induced game and run the
-    // schedulers' from-scratch scan path every epoch.
-    game = Game(system_, RewardFunction(std::move(weights)));
-    while (steps < cap) {
-      const auto move = scheduler_->pick(game, config_);
-      if (!move) break;
-      config_.move(move->miner, move->to);
-      ++steps;
-    }
-    record.at_equilibrium = is_equilibrium(game, config_);
+  while (steps < cap) {
+    const auto move = scheduler_->pick_indexed(game, config_, index);
+    if (!move) break;
+    config_.move(move->miner, move->to);
+    index.sync(config_);
+    ++steps;
   }
+  record.at_equilibrium = index.at_equilibrium();
   record.br_steps = steps;
   ++ws_->epochs_run;
 
@@ -133,30 +116,14 @@ void MarketSimulator::finish_epoch(EpochRecord& record,
   }
 }
 
-EpochRecord MarketSimulator::step_epoch(double t_hours) {
-  EpochRecord record;
-  record.t_hours = t_hours;
-  record.prices.resize(coins_.size());
-  record.weights.resize(coins_.size());
-  record.hashrate_share.resize(coins_.size());
-
-  std::vector<Rational> weights(coins_.size());
-  for (std::size_t c = 0; c < coins_.size(); ++c) {
-    step_coin_price(c, record);
-    step_coin_fees(c, record, weights);
-  }
-  finish_epoch(record, weights);
-  return record;
-}
-
-std::vector<EpochRecord> MarketSimulator::run_flat() {
+std::vector<EpochRecord> MarketSimulator::run() {
   sim::EventCore core;
   core.declare_streams(sim::EventType::kPriceTick, coins_.size());
   core.declare_streams(sim::EventType::kFeeUpdate, coins_.size());
   core.declare_streams(sim::EventType::kDecisionEpoch, 1);
 
   std::vector<EpochRecord> records;
-  if (options_.epochs == 0) return records;  // match the legacy no-op run
+  if (options_.epochs == 0) return records;
   ensure_workspace();
   // Preallocate the *entire* output: after this block the event loop does
   // not touch the heap — epochs write into their records in place, weights
@@ -172,8 +139,7 @@ std::vector<EpochRecord> MarketSimulator::run_flat() {
   std::size_t done = 0;
 
   // Schedules epoch e's events: per coin a price tick then a fee update
-  // (FIFO tie-breaking preserves exactly the legacy per-coin order), then
-  // the decision epoch.
+  // (FIFO tie-breaking keeps that per-coin order), then the decision epoch.
   const auto schedule_epoch = [&](std::size_t e) {
     const double t = static_cast<double>(e + 1) * options_.epoch_hours;
     for (std::size_t c = 0; c < coins_.size(); ++c) {
@@ -193,11 +159,11 @@ std::vector<EpochRecord> MarketSimulator::run_flat() {
         step_coin_price(event.subject, records[done]);
         break;
       case sim::EventType::kFeeUpdate:
-        step_coin_fees(event.subject, records[done], ws_->weights);
+        step_coin_fees(event.subject, records[done]);
         break;
       case sim::EventType::kDecisionEpoch: {
         records[done].t_hours = core.now();
-        finish_epoch(records[done], ws_->weights);
+        finish_epoch(records[done]);
         ++done;
         if (done < options_.epochs) schedule_epoch(done);
         break;
@@ -205,18 +171,6 @@ std::vector<EpochRecord> MarketSimulator::run_flat() {
       default:
         GOC_ASSERT(false, "unexpected event type in the market simulator");
     }
-  }
-  return records;
-}
-
-std::vector<EpochRecord> MarketSimulator::run() {
-  if (options_.engine == sim::EngineKind::kFlat) return run_flat();
-  std::vector<EpochRecord> records;
-  records.reserve(options_.epochs);
-  if (options_.epochs > 0) ensure_workspace();
-  for (std::size_t e = 0; e < options_.epochs; ++e) {
-    const double t = static_cast<double>(e + 1) * options_.epoch_hours;
-    records.push_back(step_epoch(t));
   }
   return records;
 }

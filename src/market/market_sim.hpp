@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -11,7 +10,6 @@
 #include "dynamics/scheduler.hpp"
 #include "market/fee_market.hpp"
 #include "market/price_process.hpp"
-#include "sim/event_core.hpp"
 
 /// \file market_sim.hpp
 /// The multi-coin market simulator — the substrate for experiment E1/E2
@@ -31,19 +29,16 @@
 /// The output time series are exactly what Figure 1 plots: exchange rates
 /// (1a) and per-coin hashrate (1b).
 ///
-/// The default engine decomposes each epoch into flat `sim::EventCore`
-/// events — one kPriceTick and one kFeeUpdate per coin, then one
-/// kDecisionEpoch — dispatched by enum switch, and drives the adjustment
-/// through the zero-rebuild epoch path: an `EpochWorkspace` arena holds
-/// one `Game` whose rewards are swapped in place per epoch
-/// (`Game::reweight`) and one `BestResponseIndex` that is
-/// reweight-invalidated instead of reconstructed, so a steady-state epoch
-/// performs no heap allocation. The legacy plain epoch loop
-/// (`sim::EngineKind::kLegacy`) is retained as the reference: it rebuilds
-/// the game and runs the schedulers' scan path every epoch. Both engines
-/// call the same per-coin sub-steps in the same order and consume the RNG
-/// identically, so the epoch records are bit-identical
-/// (`tests/test_sim.cpp`, `bench_des --compare-scan`).
+/// Each epoch decomposes into flat `sim::EventCore` events — one
+/// kPriceTick and one kFeeUpdate per coin, then one kDecisionEpoch —
+/// dispatched by enum switch. The adjustment runs on the zero-rebuild
+/// epoch path: an `EpochWorkspace` arena holds one `Game` whose rewards are
+/// swapped in place per epoch (`Game::reweight`) and one
+/// `BestResponseIndex` that is reweight-invalidated instead of
+/// reconstructed, so a steady-state epoch performs no heap allocation. The
+/// epoch records are pinned against values recorded from the retired
+/// rebuild-per-epoch loop (`tests/test_sim.cpp`, `PinnedTrajectories`) and
+/// by the `GOLDEN_market.gocr` replay anchor.
 
 namespace goc::market {
 
@@ -82,8 +77,6 @@ struct MarketOptions {
   std::uint64_t seed = 2021;
   /// Weight quantization denominator for Rational::from_double.
   std::uint64_t weight_denominator = 1u << 20;
-  /// Flat event core (default) or the legacy epoch loop (reference).
-  sim::EngineKind engine = sim::EngineKind::kFlat;
 };
 
 /// One epoch of recorded market state.
@@ -101,29 +94,26 @@ struct EpochRecord {
 /// Everything an epoch mutates lives here, sized once: the quantized
 /// weight scratch, the induced game (whose rewards are swapped *in place*
 /// by `Game::reweight` — the system, access policy and the game object's
-/// address never change), and, on the flat engine, the incremental
-/// best-response index (reweight-invalidated per epoch, never rebuilt from
-/// scratch). After construction a steady-state epoch allocates nothing:
-/// weights are copied into the reward function's existing storage, the
-/// index rescans into its preallocated strips, and the adjustment loop
-/// runs `pick_indexed` over it. The legacy engine reuses only the weight
-/// scratch and the game *slot* (it genuinely rebuilds a `Game` per epoch —
-/// that is the reference behavior the fast path is checked against).
+/// address never change), and the incremental best-response index
+/// (reweight-invalidated per epoch, never rebuilt from scratch). After
+/// construction a steady-state epoch allocates nothing: weights are copied
+/// into the reward function's existing storage, the index rescans into its
+/// preallocated strips, and the adjustment loop runs `pick_indexed` over
+/// it.
 struct EpochWorkspace {
   std::vector<Rational> weights;  ///< this epoch's F(c), quantized
   Game game;                      ///< reweighted in place each epoch
-  /// Flat engine only: drives the schedulers' `pick_indexed` path.
-  std::optional<dynamics::BestResponseIndex> index;
+  /// Drives the schedulers' `pick_indexed` path.
+  dynamics::BestResponseIndex index;
   std::size_t epochs_run = 0;
 
   EpochWorkspace(std::shared_ptr<const System> system,
-                 const Configuration& config, bool build_index)
+                 const Configuration& config)
       : weights(system->num_coins(), Rational(1)),
         game(std::move(system),
              RewardFunction::constant(config.system().num_coins(),
-                                      Rational(1))) {
-    if (build_index) index.emplace(game, config);
-  }
+                                      Rational(1))),
+        index(game, config) {}
 };
 
 class MarketSimulator {
@@ -155,15 +145,11 @@ class MarketSimulator {
 
  private:
   // One epoch = advance every coin's price, accrue its fees / derive its
-  // weight, then let the game adjust. The legacy loop calls the sub-steps
-  // inline; the flat engine dispatches them as kPriceTick / kFeeUpdate /
-  // kDecisionEpoch events — identical call order, identical RNG draws.
+  // weight, then let the game adjust — dispatched as kPriceTick /
+  // kFeeUpdate / kDecisionEpoch events.
   void step_coin_price(std::size_t c, EpochRecord& record);
-  void step_coin_fees(std::size_t c, EpochRecord& record,
-                      std::vector<Rational>& weights);
-  void finish_epoch(EpochRecord& record, std::vector<Rational>& weights);
-  EpochRecord step_epoch(double t_hours);
-  std::vector<EpochRecord> run_flat();
+  void step_coin_fees(std::size_t c, EpochRecord& record);
+  void finish_epoch(EpochRecord& record);
   // Creates the workspace on first use. Deferred to run() rather than the
   // constructor because scenario factories return simulators by value and
   // the index must bind the configuration at its final address.

@@ -47,11 +47,15 @@ std::uint64_t parse_job_id(const std::vector<std::string>& args,
   }
 }
 
-sim::EngineKind engine_from_cli(const Cli& cli) {
-  const std::string name = cli.get_string("engine", "flat");
-  if (name == "flat") return sim::EngineKind::kFlat;
-  if (name == "legacy") return sim::EngineKind::kLegacy;
-  throw std::invalid_argument("unknown engine '" + name + "' (flat, legacy)");
+/// A scenario size flag: zero would only fail later, inside the job, so it
+/// is rejected at submit.
+std::size_t size_flag(const Cli& cli, const std::string& name,
+                      std::size_t fallback) {
+  const std::uint64_t value = cli.get_u64(name, fallback);
+  if (value == 0) {
+    throw std::invalid_argument("option --" + name + " must be at least 1");
+  }
+  return value;
 }
 
 /// The shared progress vocabulary of `status` and `watch` — both render
@@ -102,7 +106,7 @@ Server::Server(ServerOptions options)
 JobTable::Work Server::make_batch_work(const Cli& cli) {
   reject_unknown(cli, with_batch_names({"scenario", "miners", "chains",
                                         "coins", "days", "epoch-lanes",
-                                        "engine", "seed"}));
+                                        "seed"}));
   sim::TrajectoryBatchOptions options;
   options.pool = &pool_;
   options.root_seed = cli.get_u64("seed", options.root_seed);
@@ -111,25 +115,24 @@ JobTable::Work Server::make_batch_work(const Cli& cli) {
   const std::string scenario = cli.get_string("scenario", "chain-reference");
   if (scenario == "chain-reference") {
     sim::ReferenceChainParams params;
-    params.miners = cli.get_u64("miners", params.miners);
-    params.chains = cli.get_u64("chains", params.chains);
+    params.miners = size_flag(cli, "miners", params.miners);
+    params.chains = size_flag(cli, "chains", params.chains);
     params.days = cli.get_double("days", params.days);
     params.epoch_lanes = sim::epoch_lanes_from_cli(cli, params.epoch_lanes);
-    const sim::EngineKind engine = engine_from_cli(cli);
-    return [options, params, engine](const engine::CancelView& cancel,
-                                     const JobTable::ProgressFn& progress) {
+    return [options, params](const engine::CancelView& cancel,
+                             const JobTable::ProgressFn& progress) {
       const sim::TrajectoryBatchOptions opts =
           with_progress(options, cancel, progress);
       const auto factory = [&](std::uint64_t seed) {
-        return sim::make_reference_chain(params, engine, seed);
+        return sim::make_reference_chain(params, sim::EngineKind::kFlat, seed);
       };
       return batch_outcome(sim::run_chain_batch(factory, opts),
                            "goc-serve batch chain-reference");
     };
   }
   if (scenario == "market-random") {
-    const std::size_t miners = cli.get_u64("miners", 48);
-    const std::size_t coins = cli.get_u64("coins", 3);
+    const std::size_t miners = size_flag(cli, "miners", 48);
+    const std::size_t coins = size_flag(cli, "coins", 3);
     const double days = cli.get_double("days", 30.0);
     const std::uint64_t seed = options.root_seed;
     // market::Scenario is move-only (unique_ptr price processes), and a
@@ -148,7 +151,7 @@ JobTable::Work Server::make_batch_work(const Cli& cli) {
   }
   if (scenario == "market-fork") {
     market::ForkFlipParams params;
-    params.miners = cli.get_u64("miners", params.miners);
+    params.miners = size_flag(cli, "miners", params.miners);
     params.days = cli.get_double("days", params.days);
     params.seed = cli.get_u64("seed", params.seed);
     return [options, params](const engine::CancelView& cancel,
@@ -454,7 +457,7 @@ void Server::cmd_help(std::ostream& out) {
       << "# stats [--json]  process metrics (Prometheus text or one JSON "
          "line)\n"
       << "# batch: --scenario=chain-reference|market-random|market-fork\n"
-      << "#        --miners --chains --coins --days --epoch-lanes --engine\n"
+      << "#        --miners --chains --coins --days --epoch-lanes\n"
       << "#        --seed --replicas --stop-* --checkpoint[-interval]\n"
       << "# sweep: --miners=a,b --coins=a,b --power-shapes=... --trials\n"
       << "#        --seed --max-steps\n"

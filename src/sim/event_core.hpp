@@ -10,15 +10,13 @@
 /// \file event_core.hpp
 /// The flat discrete-event core — layer 1 of the `sim/` subsystem.
 ///
-/// The legacy `chain::EventQueue` stores one `std::function` per event: a
-/// heap allocation at schedule time, an indirect call at dispatch, and
-/// 48-byte items churning through `std::priority_queue`. This core replaces
-/// the callback with a type-tagged POD `Event` dispatched by enum switch at
-/// the call site, stored in an explicit binary heap over a reusable
-/// `std::vector` — zero per-event allocation once the heap has warmed up.
+/// The chain and market simulators both run on this core. An event is a
+/// type-tagged POD `Event` dispatched by enum switch at the call site (no
+/// `std::function`, no indirect call), stored in an explicit binary heap
+/// over a reusable `std::vector` — zero per-event allocation once the heap
+/// has warmed up.
 ///
-/// Two facilities the simulators used to re-implement per call site live in
-/// the core itself:
+/// Two facilities every simulator needs live in the core itself:
 ///  * **FIFO tie-breaking** — events at equal times pop in schedule order
 ///    (a monotone sequence number participates in the heap order), so event
 ///    trajectories are deterministic without epsilon time offsets;
@@ -28,17 +26,16 @@
 ///    rate changed when miners migrated) are skipped inside `pop` without
 ///    ever reaching the dispatch switch. The exponential race is
 ///    memoryless, so resampling after an invalidation is statistically
-///    exact — same contract as the legacy queue, now enforced centrally.
+///    exact.
 
 namespace goc::sim {
 
-/// Which simulators run on which engine. The flat core is the hot path;
-/// the legacy `chain::EventQueue` / epoch-loop path is retained as the
-/// reference implementation (same role as the `*_scan` walkers of the
-/// enumeration engine) and must produce bit-identical trajectories.
+/// The simulators' event engine. `kFlat` (this core) is the only one; the
+/// enum survives solely because the perfbench harness calls
+/// `sim::make_reference_chain(params, EngineKind::kFlat, seed)`. Drop it,
+/// and that parameter, together with the harness's next change.
 enum class EngineKind {
-  kFlat,    ///< sim::EventCore, enum-switch dispatch (default)
-  kLegacy,  ///< std::function queue / plain epoch loop (reference)
+  kFlat,  ///< sim::EventCore, enum-switch dispatch
 };
 
 /// Event vocabulary of the stochastic simulators. `subject` is the chain
@@ -81,8 +78,8 @@ class EventCore {
   bool pop(Event& out);
 
   /// Like `pop`, restricted to events with time ≤ `t_end`. When no live
-  /// event remains in the window the clock advances to `t_end` (mirroring
-  /// the legacy queue's `run_until`) and false is returned.
+  /// event remains in the window the clock advances to `t_end` and false is
+  /// returned.
   bool pop_until(Event& out, double t_end);
 
   double now() const noexcept { return now_; }

@@ -29,9 +29,10 @@ struct ReferenceChainParams {
 };
 
 /// The reference chain workload: a heavy-tailed population spread over
-/// many chains under game-semantics migration — block events dominate,
-/// and the legacy path pays a full miner scan per block. Deterministic in
-/// (params, engine, seed).
+/// many chains under game-semantics migration — block events dominate.
+/// Deterministic in (params, seed). `EngineKind` has the one value `kFlat`
+/// (see sim/event_core.hpp); the parameter stays because perfbench calls
+/// this signature.
 chain::MultiChainSimulator make_reference_chain(
     const ReferenceChainParams& params, EngineKind engine, std::uint64_t seed);
 

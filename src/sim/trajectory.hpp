@@ -206,7 +206,7 @@ class TrajectoryBatchResult {
   Table to_table(int precision = 4) const;
 
   /// Bitwise equality of names, replica count and the full value matrix —
-  /// the thread-invariance and legacy-vs-flat contract check.
+  /// the thread-invariance contract check.
   bool deterministic_equals(const TrajectoryBatchResult& other) const;
 
  private:
@@ -272,11 +272,10 @@ TrajectoryBatchResult run_market_batch(const market::Scenario& scenario,
 
 // ------------------------------------------------------- trajectory hashes
 
-/// FNV-1a over every deterministic field of a chain result (counters plus
-/// raw double bits, timeline included) — bit-equality of two hashes means
-/// the *trajectories*, not just the endpoints, coincided. This is how
-/// `--compare-scan` proves the flat event core replays the legacy
-/// `EventQueue` path draw-for-draw.
+/// FNV-1a over the deterministic fields of a chain result (counters plus
+/// raw double bits, timeline included; `share_prediction_mae` and
+/// `events_dispatched` are left out) — bit-equality of two hashes means
+/// the *trajectories*, not just the endpoints, coincided.
 std::uint64_t chain_result_hash(const chain::ChainSimResult& result) noexcept;
 
 /// Same contract for the market simulator's epoch records.

@@ -42,39 +42,57 @@ std::string Cli::get_string(const std::string& name,
   return it == options_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// Runs `parse(text, &consumed)` (a `std::sto*` function) and accepts the
+/// result only when the whole value was consumed and in range; otherwise
+/// the error names the flag.
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& text,
+                 const char* expects, Parse parse) {
+  try {
+    std::size_t consumed = 0;
+    const auto value = parse(text, &consumed);
+    if (consumed == text.size()) return value;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("option --" + name + " expects " + expects +
+                              ", got '" + text + "'");
+}
+
+}  // namespace
+
 std::int64_t Cli::get_i64(const std::string& name, std::int64_t fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + name + " expects an integer, got '" +
-                                it->second + "'");
-  }
+  return parse_whole(name, it->second, "an integer",
+                     [](const std::string& s, std::size_t* pos) {
+                       return std::stoll(s, pos);
+                     });
 }
 
 std::uint64_t Cli::get_u64(const std::string& name,
                            std::uint64_t fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  try {
-    return std::stoull(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + name +
-                                " expects an unsigned integer, got '" +
-                                it->second + "'");
-  }
+  return parse_whole(name, it->second, "an unsigned integer",
+                     [](const std::string& s, std::size_t* pos) {
+                       // std::stoull accepts a sign and wraps "-5"; only
+                       // plain digits are an unsigned integer here.
+                       if (s.empty() || s[0] < '0' || s[0] > '9') {
+                         throw std::invalid_argument("not a digit");
+                       }
+                       return std::stoull(s, pos);
+                     });
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + name + " expects a number, got '" +
-                                it->second + "'");
-  }
+  return parse_whole(name, it->second, "a number",
+                     [](const std::string& s, std::size_t* pos) {
+                       return std::stod(s, pos);
+                     });
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/cancel.hpp"
@@ -174,6 +175,22 @@ TEST(Server, RejectsUnknownFlagsAndKinds) {
   EXPECT_EQ(respond(server, "status nope").rfind("err ", 0), 0u);
   EXPECT_EQ(respond(server, "result 99 --wait").rfind("err unknown job", 0),
             0u);
+  // Bad numbers and zero sizes are refused at submit, naming the flag,
+  // instead of creating a job that fails inside the simulator.
+  const std::pair<const char*, const char*> rejected[] = {
+      {"submit batch --scenario=chain-reference --miners=0", "--miners"},
+      {"submit batch --scenario=chain-reference --chains=0", "--chains"},
+      {"submit batch --scenario=market-random --miners=0", "--miners"},
+      {"submit batch --scenario=market-random --coins=0", "--coins"},
+      {"submit batch --scenario=chain-reference --miners=-5", "--miners"},
+      {"submit batch --scenario=chain-reference --miners=12abc", "--miners"},
+      {"submit batch --scenario=chain-reference --engine=legacy", "engine"},
+  };
+  for (const auto& [request, flag] : rejected) {
+    const std::string reply = respond(server, request);
+    EXPECT_EQ(reply.rfind("err ", 0), 0u) << request << " -> " << reply;
+    EXPECT_NE(reply.find(flag), std::string::npos) << request << " -> " << reply;
+  }
   EXPECT_EQ(server.jobs().size(), 0u);
 }
 

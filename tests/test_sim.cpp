@@ -3,9 +3,13 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <new>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "chain/chain_sim.hpp"
@@ -150,7 +154,7 @@ TEST(EventCore, RejectsPastAndUndeclaredStreams) {
                std::invalid_argument);
 }
 
-// --------------------------------------------------- chain legacy-vs-flat
+// ------------------------------------------------------------ chain runs
 
 chain::ChainSpec make_chain(const std::string& name, double difficulty,
                             double reward) {
@@ -190,10 +194,7 @@ void expect_chain_results_equal(const chain::ChainSimResult& a,
   for (std::size_t i = 0; i < a.miner_rewards_fiat.size(); ++i) {
     EXPECT_EQ(a.miner_rewards_fiat[i], b.miner_rewards_fiat[i]);
   }
-  // The one non-bitwise field: the flat engine accrues the prediction via
-  // the stint integral (O(1) per block), the legacy engine per member per
-  // block — mathematically equal sums, different FP association.
-  EXPECT_NEAR(a.share_prediction_mae, b.share_prediction_mae, 1e-9);
+  EXPECT_EQ(a.share_prediction_mae, b.share_prediction_mae);
   EXPECT_EQ(a.migrations, b.migrations);
   EXPECT_EQ(a.events_dispatched, b.events_dispatched);
   ASSERT_EQ(a.timeline.size(), b.timeline.size());
@@ -207,92 +208,12 @@ void expect_chain_results_equal(const chain::ChainSimResult& a,
 }
 
 chain::ChainSimResult run_chain(chain::ChainSimOptions options,
-                                EngineKind engine, bool eda = false) {
-  options.engine = engine;
+                                bool eda = false) {
   chain::MultiChainSimulator sim = build_chain_sim(options, eda);
   return sim.run();
 }
 
-TEST(ChainParity, StaticPolicyBitIdentical) {
-  chain::ChainSimOptions options;
-  options.duration_hours = 24.0 * 10;
-  options.policy = chain::MinerPolicy::kStatic;
-  options.seed = 11;
-  expect_chain_results_equal(run_chain(options, EngineKind::kLegacy),
-                             run_chain(options, EngineKind::kFlat));
-}
-
-TEST(ChainParity, BetterResponseWithMidRaceInvalidation) {
-  // Migrations invalidate in-flight block races on both engines; the flat
-  // core must drop exactly the races the legacy generation counters drop.
-  chain::ChainSimOptions options;
-  options.duration_hours = 24.0 * 15;
-  options.policy = chain::MinerPolicy::kBetterResponse;
-  options.reevaluation_fraction = 0.5;
-  options.seed = 12;
-  const auto legacy = run_chain(options, EngineKind::kLegacy);
-  const auto flat = run_chain(options, EngineKind::kFlat);
-  EXPECT_GT(flat.migrations, 0u);
-  expect_chain_results_equal(legacy, flat);
-}
-
-TEST(ChainParity, MyopicEdaSawtoothBitIdentical) {
-  chain::ChainSimOptions options;
-  options.duration_hours = 24.0 * 10;
-  options.policy = chain::MinerPolicy::kMyopicDifficulty;
-  options.reevaluation_fraction = 0.5;
-  options.myopic_hysteresis = 0.05;
-  options.seed = 13;
-  const auto legacy = run_chain(options, EngineKind::kLegacy, /*eda=*/true);
-  const auto flat = run_chain(options, EngineKind::kFlat, /*eda=*/true);
-  EXPECT_GT(flat.migrations, 10u);
-  expect_chain_results_equal(legacy, flat);
-}
-
-TEST(ChainParity, RewardHookAndInitialAssignment) {
-  const auto build = [](EngineKind engine) {
-    std::vector<chain::ChainSpec> chains;
-    chains.push_back(make_chain("a", 300.0, 20.0));
-    chains.push_back(make_chain("b", 300.0, 20.0));
-    chain::ChainSimOptions options;
-    options.duration_hours = 24.0 * 8;
-    options.policy = chain::MinerPolicy::kBetterResponse;
-    options.seed = 14;
-    options.engine = engine;
-    chain::MultiChainSimulator sim({10.0, 20.0, 30.0, 40.0, 50.0},
-                                   std::move(chains), options, {0, 1, 0, 1, 0});
-    sim.set_reward_hook([](std::size_t c, double t) {
-      return 20.0 + (c == 0 ? 1.0 : -1.0) * 5.0 * std::sin(t / 24.0);
-    });
-    return sim.run();
-  };
-  expect_chain_results_equal(build(EngineKind::kLegacy),
-                             build(EngineKind::kFlat));
-}
-
-TEST(ChainParity, Fig1ReplayBitIdentical) {
-  market::Fig1ReplayParams params;
-  params.miners = 24;
-  params.days = 8.0;
-  params.shock_day = 3.0;
-  params.revert_day = 5.0;
-  params.seed = 99;
-  params.engine = EngineKind::kLegacy;
-  const market::Fig1ReplayResult legacy = market::run_fig1_replay(params);
-  params.engine = EngineKind::kFlat;
-  const market::Fig1ReplayResult flat = market::run_fig1_replay(params);
-  EXPECT_EQ(legacy.migrations, flat.migrations);
-  EXPECT_EQ(legacy.peak_minor_share, flat.peak_minor_share);
-  EXPECT_EQ(legacy.flip_window_share, flat.flip_window_share);
-  ASSERT_EQ(legacy.series.size(), flat.series.size());
-  for (std::size_t i = 0; i < legacy.series.size(); ++i) {
-    EXPECT_EQ(legacy.series[i].minor_hash, flat.series[i].minor_hash);
-    EXPECT_EQ(legacy.series[i].minor_difficulty,
-              flat.series[i].minor_difficulty);
-  }
-}
-
-// --------------------------------------------------- market legacy-vs-flat
+// ----------------------------------------------------------- market runs
 
 market::MarketSimulator build_market(market::MarketOptions options,
                                      bool whale = false) {
@@ -326,51 +247,10 @@ void expect_market_records_equal(const std::vector<market::EpochRecord>& a,
   }
 }
 
-TEST(MarketParity, EpochRecordsBitIdentical) {
-  market::MarketOptions options;
-  options.epochs = 24 * 6;
-  options.seed = 77;
-  options.engine = EngineKind::kLegacy;
-  auto legacy = build_market(options).run();
-  options.engine = EngineKind::kFlat;
-  auto flat = build_market(options).run();
-  expect_market_records_equal(legacy, flat);
-}
-
-TEST(MarketParity, WhaleInjectionBitIdentical) {
-  market::MarketOptions options;
-  options.epochs = 24 * 3;
-  options.seed = 78;
-  options.br_steps_per_epoch = 0;  // run to convergence each epoch
-  options.engine = EngineKind::kLegacy;
-  auto legacy = build_market(options, /*whale=*/true).run();
-  options.engine = EngineKind::kFlat;
-  auto flat = build_market(options, /*whale=*/true).run();
-  expect_market_records_equal(legacy, flat);
-}
-
-TEST(MarketParity, AllSchedulerKindsBitIdentical) {
-  // The zero-rebuild engine must replay the legacy rebuild-per-epoch path
-  // move-for-move under every scheduler kind (same RNG draws included).
-  for (const SchedulerKind kind : all_scheduler_kinds()) {
-    market::MarketOptions options;
-    options.epochs = 24 * 2;
-    options.seed = 80 + static_cast<std::uint64_t>(kind);
-    options.scheduler = kind;
-    options.engine = EngineKind::kLegacy;
-    auto legacy = build_market(options).run();
-    options.engine = EngineKind::kFlat;
-    auto flat = build_market(options).run();
-    ASSERT_EQ(legacy.size(), flat.size()) << scheduler_kind_name(kind);
-    expect_market_records_equal(legacy, flat);
-  }
-}
-
-std::size_t flat_run_allocations(std::size_t epochs) {
+std::size_t market_run_allocations(std::size_t epochs) {
   market::MarketOptions options;
   options.epochs = epochs;
   options.seed = 91;
-  options.engine = EngineKind::kFlat;
   market::MarketSimulator sim = build_market(options);
   const std::size_t before = g_new_calls.load(std::memory_order_relaxed);
   const std::vector<market::EpochRecord> records = sim.run();
@@ -385,9 +265,12 @@ TEST(MarketFlat, SteadyStateEpochsDoNotAllocate) {
   // preallocation of their records — exactly three inner vectors each
   // (prices, weights, hashrate_share). If anything inside the loop touched
   // the heap (a Game rebuild, an index rebuild, a scheduler scratch
-  // vector…) the delta would exceed 3 per epoch and this fails.
-  const std::size_t base = flat_run_allocations(60);
-  const std::size_t wide = flat_run_allocations(180);
+  // vector…) the delta would exceed 3 per epoch and this fails. A first,
+  // unmeasured run absorbs one-time allocations (function-local statics),
+  // so the test does not depend on which tests ran before it.
+  market_run_allocations(60);
+  const std::size_t base = market_run_allocations(60);
+  const std::size_t wide = market_run_allocations(180);
   EXPECT_EQ(wide - base, 3u * 120u);
 }
 
@@ -772,12 +655,10 @@ chain::ChainSimOptions sharded_options(std::size_t lanes,
 }
 
 TEST(ShardedEpoch, BetterResponseBitIdenticalAcrossLaneCounts) {
-  const auto one = run_chain(
-      sharded_options(1, chain::MinerPolicy::kBetterResponse, 21),
-      EngineKind::kFlat);
-  const auto four = run_chain(
-      sharded_options(4, chain::MinerPolicy::kBetterResponse, 21),
-      EngineKind::kFlat);
+  const auto one =
+      run_chain(sharded_options(1, chain::MinerPolicy::kBetterResponse, 21));
+  const auto four =
+      run_chain(sharded_options(4, chain::MinerPolicy::kBetterResponse, 21));
   EXPECT_GT(one.migrations, 0u);
   expect_chain_results_equal(one, four);
 }
@@ -786,20 +667,11 @@ TEST(ShardedEpoch, MyopicEdaChurnBitIdenticalAcrossLaneCounts) {
   auto options =
       sharded_options(1, chain::MinerPolicy::kMyopicDifficulty, 22);
   options.myopic_hysteresis = 0.05;
-  const auto one = run_chain(options, EngineKind::kFlat, /*eda=*/true);
+  const auto one = run_chain(options, /*eda=*/true);
   options.epoch_lanes = 4;
-  const auto four = run_chain(options, EngineKind::kFlat, /*eda=*/true);
+  const auto four = run_chain(options, /*eda=*/true);
   EXPECT_GT(one.migrations, 10u);
   expect_chain_results_equal(one, four);
-}
-
-TEST(ShardedEpoch, FlatAndLegacyEnginesAgreeInShardedMode) {
-  // The sharded epoch is engine-agnostic: the same frozen-state decisions
-  // and apply-order replays on the legacy EventQueue path.
-  const auto options =
-      sharded_options(4, chain::MinerPolicy::kBetterResponse, 23);
-  expect_chain_results_equal(run_chain(options, EngineKind::kLegacy),
-                             run_chain(options, EngineKind::kFlat));
 }
 
 TEST(ShardedEpoch, RewardHookAndExternalPoolBitIdentical) {
@@ -828,22 +700,186 @@ TEST(ShardedEpoch, RewardHookAndExternalPoolBitIdentical) {
   expect_chain_results_equal(build(1, nullptr), build(4, &pool));
 }
 
+// ------------------------------------------------ pinned legacy trajectories
+// The simulators once shipped a second, reference event engine (a
+// std::function callback queue with full-population block scans, and a
+// rebuild-per-epoch market loop) and checked the event core against it run
+// by run. That engine is gone; its answers stay, recorded here. Each value
+// was produced by the reference engine on the scenario below, and the event
+// core reproduced it (the same table passed on both engines before the
+// reference was deleted). Hashes are exact. `share_prediction_mae` is
+// compared to 1e-9: the reference engine added each miner's prediction per
+// block, the event core settles a stint integral, and the two sums round
+// differently.
+
+struct PinnedRun {
+  std::uint64_t hash = 0;
+  std::uint64_t events = 0;  ///< chain runs: events_dispatched
+  double mae = std::numeric_limits<double>::quiet_NaN();  ///< chain runs
+};
+
+PinnedRun pin(const chain::ChainSimResult& result) {
+  return {chain_result_hash(result), result.events_dispatched,
+          result.share_prediction_mae};
+}
+
+PinnedRun pin(const std::vector<market::EpochRecord>& records) {
+  PinnedRun run;
+  run.hash = market_records_hash(records);
+  return run;
+}
+
+/// The scenarios, in table order.
+std::vector<std::pair<std::string, std::function<PinnedRun()>>>
+pinned_scenarios() {
+  std::vector<std::pair<std::string, std::function<PinnedRun()>>> out;
+  out.emplace_back("chain/static", [] {
+    chain::ChainSimOptions options;
+    options.duration_hours = 24.0 * 10;
+    options.policy = chain::MinerPolicy::kStatic;
+    options.seed = 11;
+    return pin(run_chain(options));
+  });
+  // Migrations invalidate in-flight block races mid-flight.
+  out.emplace_back("chain/better-response-invalidation", [] {
+    chain::ChainSimOptions options;
+    options.duration_hours = 24.0 * 15;
+    options.policy = chain::MinerPolicy::kBetterResponse;
+    options.reevaluation_fraction = 0.5;
+    options.seed = 12;
+    return pin(run_chain(options));
+  });
+  out.emplace_back("chain/myopic-eda-sawtooth", [] {
+    chain::ChainSimOptions options;
+    options.duration_hours = 24.0 * 10;
+    options.policy = chain::MinerPolicy::kMyopicDifficulty;
+    options.reevaluation_fraction = 0.5;
+    options.myopic_hysteresis = 0.05;
+    options.seed = 13;
+    return pin(run_chain(options, /*eda=*/true));
+  });
+  out.emplace_back("chain/reward-hook-initial-assignment", [] {
+    std::vector<chain::ChainSpec> chains;
+    chains.push_back(make_chain("a", 300.0, 20.0));
+    chains.push_back(make_chain("b", 300.0, 20.0));
+    chain::ChainSimOptions options;
+    options.duration_hours = 24.0 * 8;
+    options.policy = chain::MinerPolicy::kBetterResponse;
+    options.seed = 14;
+    chain::MultiChainSimulator sim({10.0, 20.0, 30.0, 40.0, 50.0},
+                                   std::move(chains), options, {0, 1, 0, 1, 0});
+    sim.set_reward_hook([](std::size_t c, double t) {
+      return 20.0 + (c == 0 ? 1.0 : -1.0) * 5.0 * std::sin(t / 24.0);
+    });
+    return pin(sim.run());
+  });
+  out.emplace_back("chain/sharded-4-lanes", [] {
+    return pin(
+        run_chain(sharded_options(4, chain::MinerPolicy::kBetterResponse, 23)));
+  });
+  for (std::uint64_t seed = 100; seed < 108; ++seed) {
+    out.emplace_back("chain/eda-seed-" + std::to_string(seed), [seed] {
+      chain::ChainSimOptions options;
+      options.duration_hours = 24.0 * 12;
+      options.policy = chain::MinerPolicy::kMyopicDifficulty;
+      options.reevaluation_fraction = 0.5;
+      options.seed = seed;
+      return pin(run_chain(options, /*eda=*/true));
+    });
+  }
+  out.emplace_back("fig1/replay", [] {
+    market::Fig1ReplayParams params;
+    params.miners = 24;
+    params.days = 8.0;
+    params.shock_day = 3.0;
+    params.revert_day = 5.0;
+    params.seed = 99;
+    PinnedRun run;
+    run.hash = market::fig1_result_hash(market::run_fig1_replay(params));
+    return run;
+  });
+  out.emplace_back("market/epoch-records", [] {
+    market::MarketOptions options;
+    options.epochs = 24 * 6;
+    options.seed = 77;
+    return pin(build_market(options).run());
+  });
+  out.emplace_back("market/whale-injection", [] {
+    market::MarketOptions options;
+    options.epochs = 24 * 3;
+    options.seed = 78;
+    options.br_steps_per_epoch = 0;  // run to convergence each epoch
+    return pin(build_market(options, /*whale=*/true).run());
+  });
+  for (const SchedulerKind kind : all_scheduler_kinds()) {
+    out.emplace_back("market/scheduler-" + scheduler_kind_name(kind), [kind] {
+      market::MarketOptions options;
+      options.epochs = 24 * 2;
+      options.seed = 80 + static_cast<std::uint64_t>(kind);
+      options.scheduler = kind;
+      return pin(build_market(options).run());
+    });
+  }
+  return out;
+}
+
+struct PinnedValues {
+  const char* name;
+  std::uint64_t hash;
+  std::uint64_t events;
+  double mae;
+};
+
+constexpr double kNoMae = std::numeric_limits<double>::quiet_NaN();
+
+// Recorded from the reference engine; see the section comment.
+constexpr PinnedValues kPinned[] = {
+    {"chain/static", 6492623016476424595ULL, 310, 0.018535586277521787},
+    {"chain/better-response-invalidation", 17780613903069505010ULL, 455, 0.023235814370011376},
+    {"chain/myopic-eda-sawtooth", 9756711445178017504ULL, 3049, 0.0054489180092608417},
+    {"chain/reward-hook-initial-assignment", 10202793117409352092ULL, 296, 0.046503945894445425},
+    {"chain/sharded-4-lanes", 8701192556741131492ULL, 332, 0.021962157045545053},
+    {"chain/eda-seed-100", 2169748435066047818ULL, 3784, 0.0046142076419176782},
+    {"chain/eda-seed-101", 15576344102550215067ULL, 3938, 0.003987807148466989},
+    {"chain/eda-seed-102", 4280956760654867071ULL, 3692, 0.0069524901037479291},
+    {"chain/eda-seed-103", 8903328076492578129ULL, 3816, 0.0041997345109259865},
+    {"chain/eda-seed-104", 9258589291356467040ULL, 3921, 0.0059697459305340338},
+    {"chain/eda-seed-105", 11642910200222351156ULL, 3895, 0.0035433369286745598},
+    {"chain/eda-seed-106", 8850698542157805081ULL, 3814, 0.004522035552428718},
+    {"chain/eda-seed-107", 11797325717172566771ULL, 3917, 0.0039970534575095732},
+    {"fig1/replay", 4873852542653740286ULL, 0, kNoMae},
+    {"market/epoch-records", 15730023970706507474ULL, 0, kNoMae},
+    {"market/whale-injection", 17970232122422400821ULL, 0, kNoMae},
+    {"market/scheduler-random-move", 13521181831354141195ULL, 0, kNoMae},
+    {"market/scheduler-random-miner", 2323079514000714507ULL, 0, kNoMae},
+    {"market/scheduler-round-robin", 7791414735108636785ULL, 0, kNoMae},
+    {"market/scheduler-max-gain", 6620611765559061083ULL, 0, kNoMae},
+    {"market/scheduler-min-gain", 12122187912539657354ULL, 0, kNoMae},
+    {"market/scheduler-largest-first", 17690786063172751089ULL, 0, kNoMae},
+    {"market/scheduler-smallest-first", 12617805208235931459ULL, 0, kNoMae},
+    {"market/scheduler-lexicographic", 6797867931723232600ULL, 0, kNoMae},
+};
+
+TEST(PinnedTrajectories, FlatEngineMatchesRecordedLegacyValues) {
+  const auto scenarios = pinned_scenarios();
+  ASSERT_EQ(scenarios.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const PinnedValues& want = kPinned[i];
+    ASSERT_EQ(scenarios[i].first, want.name);
+    const PinnedRun got = scenarios[i].second();
+    EXPECT_EQ(got.hash, want.hash) << want.name;
+    EXPECT_EQ(got.events, want.events) << want.name;
+    if (std::isnan(want.mae)) {
+      EXPECT_TRUE(std::isnan(got.mae)) << want.name;
+    } else {
+      EXPECT_NEAR(got.mae, want.mae, 1e-9) << want.name;
+    }
+  }
+}
+
 // ------------------------------------------------ Monte Carlo stress (slow)
 // These run in the `test_sim_slow` CTest entry (label `slow`): Debug/ASan
 // lanes skip them, the Release lanes run everything.
-
-TEST(SimSlow, EdaParityAcrossManySeeds) {
-  for (std::uint64_t seed = 100; seed < 108; ++seed) {
-    chain::ChainSimOptions options;
-    options.duration_hours = 24.0 * 12;
-    options.policy = chain::MinerPolicy::kMyopicDifficulty;
-    options.reevaluation_fraction = 0.5;
-    options.seed = seed;
-    expect_chain_results_equal(
-        run_chain(options, EngineKind::kLegacy, /*eda=*/true),
-        run_chain(options, EngineKind::kFlat, /*eda=*/true));
-  }
-}
 
 TEST(SimSlow, Fig1BatchThreadInvariance) {
   market::Fig1ReplayParams params;

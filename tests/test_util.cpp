@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "util/cli.hpp"
 #include "util/int128.hpp"
@@ -287,10 +288,33 @@ TEST(Cli, Defaults) {
 }
 
 TEST(Cli, TypeErrors) {
-  const char* argv[] = {"prog", "--n=abc", "--b=maybe"};
-  Cli cli(3, argv);
+  const char* argv[] = {"prog",         "--n=abc",
+                        "--b=maybe",    "--neg=-5",
+                        "--junk=12abc", "--huge=99999999999999999999",
+                        "--ijunk=7x",   "--djunk=1.5s",
+                        "--ok=42"};
+  Cli cli(9, argv);
   EXPECT_THROW(cli.get_i64("n", 0), std::invalid_argument);
   EXPECT_THROW(cli.get_bool("b", false), std::invalid_argument);
+  // Unsigned flags reject a sign, trailing junk and overflow.
+  for (const char* name : {"neg", "junk", "huge", "n"}) {
+    try {
+      cli.get_u64(name, 0);
+      ADD_FAILURE() << "--" << name << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(std::string("--") + name),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  // Signed and floating-point flags reject trailing junk.
+  EXPECT_THROW(cli.get_i64("ijunk", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_i64("huge", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("djunk", 0.0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("junk", 0.0), std::invalid_argument);
+  EXPECT_EQ(cli.get_i64("neg", 0), -5);
+  EXPECT_EQ(cli.get_u64("ok", 0), 42u);
+  EXPECT_EQ(cli.get_double("ok", 0.0), 42.0);
 }
 
 TEST(Cli, BooleanSpellings) {
