@@ -57,6 +57,9 @@ class Configuration {
 
   /// M_c(s): total power mining c (zero for an empty coin).
   const Rational& mass(CoinId c) const;
+  /// Every M_c(s), indexed by coin id: the unchecked view the comparator
+  /// hot loops read (`mass` checks the id).
+  const std::vector<Rational>& masses() const noexcept { return mass_; }
   /// |P_c(s)|.
   std::size_t population(CoinId c) const;
   bool empty_coin(CoinId c) const { return population(c) == 0; }

@@ -1,12 +1,38 @@
 #include "core/move_compare.hpp"
 
 #include "core/moves.hpp"
+#include "obs/registry.hpp"
 #include "util/rational.hpp"
 
 namespace goc {
+namespace {
+
+/// Counts every decision the i128 path handed to `Rational` because a
+/// product overflowed. Only the slow paths touch it.
+void count_exact_fallback() {
+  static obs::Counter& kFallbacks =
+      obs::Registry::instance().counter("core.compare.exact_fallbacks");
+  kFallbacks.add();
+}
+
+/// gain(p→t)·L as *num / *den (den > 0) from the integer fast-path
+/// quantities: num = m_p·(K_t·M_x − K_x·D_t), den = D_t·M_x. False on
+/// overflow. Both products in the difference are nonnegative, so the
+/// subtraction itself cannot overflow.
+bool scaled_gain(i128 mp, i128 k_t, i128 d_t, i128 k_x, i128 m_x, i128* num,
+                 i128* den) {
+  i128 gain_side, stay_side;
+  return !mul_overflow(k_t, m_x, &gain_side) &&
+         !mul_overflow(k_x, d_t, &stay_side) &&
+         !mul_overflow(mp, gain_side - stay_side, num) &&
+         !mul_overflow(d_t, m_x, den);
+}
+
+}  // namespace
 
 std::strong_ordering compare_fractions_exact(i128 a_num, i128 a_den, i128 b_num,
                                              i128 b_den) {
+  count_exact_fallback();
   return Rational::from_parts(a_num, a_den) <=>
          Rational::from_parts(b_num, b_den);
 }
@@ -58,8 +84,11 @@ void MoveComparator::refresh() {
 
 std::strong_ordering MoveComparator::compare(const Configuration& s, MinerId p,
                                              CoinId c1, CoinId c2) const {
+  GOC_DASSERT(p.value < s.num_miners() && c1.value < s.num_coins() &&
+                  c2.value < s.num_coins(),
+              "compare: miner or coin out of range");
   if (c1 == c2) return std::strong_ordering::equal;
-  const CoinId here = s.of(p);
+  const CoinId here = s.assignment()[p.value];
   if (fast_mode_) {
     // Powers (hence masses) are integers stored in normalized Rationals,
     // so the numerators ARE the values; rewards enter as their rescaled
@@ -68,11 +97,12 @@ std::strong_ordering MoveComparator::compare(const Configuration& s, MinerId p,
     // D_c = M_c + m_p for a move and D_c = M_c for the current coin
     // (whose mass already includes m_p); the common factor m_p > 0 cancels
     // from both sides.
-    const i128 mp = game_->system().power(p).numerator();
+    const std::vector<Rational>& mass = s.masses();
+    const i128 mp = game_->system().powers()[p.value].numerator();
     const i128 n1 = scaled_rewards_[c1.value];
     const i128 n2 = scaled_rewards_[c2.value];
-    const i128 d1 = s.mass(c1).numerator() + (c1 == here ? 0 : mp);
-    const i128 d2 = s.mass(c2).numerator() + (c2 == here ? 0 : mp);
+    const i128 d1 = mass[c1.value].numerator() + (c1 == here ? 0 : mp);
+    const i128 d2 = mass[c2.value].numerator() + (c2 == here ? 0 : mp);
     return compare_positive_fractions(n1, d1, n2, d2);
   }
   const Rational v1 = c1 == here ? game_->payoff(s, p)
@@ -82,21 +112,52 @@ std::strong_ordering MoveComparator::compare(const Configuration& s, MinerId p,
   return v1 <=> v2;
 }
 
+std::strong_ordering MoveComparator::compare_gains(const Configuration& s,
+                                                   MinerId p, CoinId tp,
+                                                   MinerId q,
+                                                   CoinId tq) const {
+  GOC_DASSERT(p.value < s.num_miners() && q.value < s.num_miners() &&
+                  tp.value < s.num_coins() && tq.value < s.num_coins(),
+              "compare_gains: miner or coin out of range");
+  if (fast_mode_) {
+    const std::vector<CoinId>& at = s.assignment();
+    const std::vector<Rational>& mass = s.masses();
+    const std::vector<Rational>& powers = game_->system().powers();
+    const auto gain = [&](MinerId m, CoinId t, i128* num, i128* den) {
+      const CoinId x = at[m.value];
+      const i128 mp = powers[m.value].numerator();
+      const i128 d_t = mass[t.value].numerator() + (t == x ? 0 : mp);
+      return scaled_gain(mp, scaled_rewards_[t.value], d_t,
+                         scaled_rewards_[x.value], mass[x.value].numerator(),
+                         num, den);
+    };
+    i128 p_num, p_den, q_num, q_den, lhs, rhs;
+    if (gain(p, tp, &p_num, &p_den) && gain(q, tq, &q_num, &q_den) &&
+        !mul_overflow(p_num, q_den, &lhs) && !mul_overflow(q_num, p_den, &rhs)) {
+      return lhs <=> rhs;
+    }
+    count_exact_fallback();
+  }
+  return move_gain(*game_, s, p, tp) <=> move_gain(*game_, s, q, tq);
+}
+
 bool MoveComparator::stable(const Configuration& s, MinerId p) const {
-  const CoinId here = s.of(p);
+  GOC_DASSERT(p.value < s.num_miners(), "stable: miner out of range");
+  const CoinId here = s.assignment()[p.value];
   const std::uint32_t coins = static_cast<std::uint32_t>(s.num_coins());
   if (fast_mode_) {
     // Hoist the loop-invariant "stay put" side: K_here/M_here, with
     // M_here already including m_p.
-    const i128 mp = game_->system().power(p).numerator();
+    const std::vector<Rational>& mass = s.masses();
+    const i128 mp = game_->system().powers()[p.value].numerator();
     const i128 n_here = scaled_rewards_[here.value];
-    const i128 d_here = s.mass(here).numerator();
+    const i128 d_here = mass[here.value].numerator();
     for (std::uint32_t c = 0; c < coins; ++c) {
       const CoinId coin(c);
       if (coin == here) continue;
       if (!unrestricted_ && !game_->can_mine(p, coin)) continue;
       const i128 n_c = scaled_rewards_[c];
-      const i128 d_c = s.mass(coin).numerator() + mp;
+      const i128 d_c = mass[c].numerator() + mp;
       if (compare_positive_fractions(n_c, d_c, n_here, d_here) > 0) return false;
     }
     return true;

@@ -31,11 +31,18 @@
 /// overflow fall back to the exact `Rational` path, so the ordering
 /// returned is always exact — bit-for-bit the same decision the reference
 /// scan makes.
+///
+/// The same fast path also orders *gains across miners* (`compare_gains`),
+/// which is what the gain-extremal schedulers need: one exact comparison
+/// primitive decides both per-miner and cross-miner orderings. Every
+/// overflow that hands a decision to `Rational` bumps the `obs` counter
+/// `core.compare.exact_fallbacks`; the fast path itself records nothing.
 
 namespace goc {
 
 /// Slow path of `compare_positive_fractions`: exact comparison through
-/// `Rational` (whose <=> never overflows).
+/// `Rational` (whose <=> never overflows). Counts one
+/// `core.compare.exact_fallbacks`.
 std::strong_ordering compare_fractions_exact(i128 a_num, i128 a_den, i128 b_num,
                                              i128 b_den);
 
@@ -83,12 +90,24 @@ class MoveComparator {
   std::strong_ordering compare(const Configuration& s, MinerId p, CoinId c1,
                                CoinId c2) const;
 
+  /// Compares the gain of miner p moving to `tp` against the gain of miner
+  /// q moving to `tq` — exactly `move_gain(game, s, p, tp) <=>
+  /// move_gain(game, s, q, tq)`. On the fast path, with x = s.of(p),
+  /// D_t = M_t + m_p (D_x = M_x) and rewards as their numerators K_c,
+  ///   gain(p→t)·L = m_p·(K_t·M_x − K_x·D_t) / (D_t·M_x),
+  /// and the two fractions are cross-multiplied with overflow-checked
+  /// `i128`; on overflow the two `move_gain` Rationals decide. Either
+  /// target may be the miner's current coin (gain 0); coins must be
+  /// mineable by their miner.
+  std::strong_ordering compare_gains(const Configuration& s, MinerId p,
+                                     CoinId tp, MinerId q, CoinId tq) const;
+
   /// True iff moving to `c` strictly improves p's payoff (c != s.of(p) and
   /// p may mine c are the caller's responsibility to pre-check, as the
   /// index does; `is_better_response` in moves.hpp is the checked
   /// reference).
   bool improves(const Configuration& s, MinerId p, CoinId c) const {
-    return compare(s, p, c, s.of(p)) > 0;
+    return compare(s, p, c, s.assignment()[p.value]) > 0;
   }
 
   /// True iff p has no better response in s — `is_stable` without a single

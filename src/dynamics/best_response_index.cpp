@@ -73,9 +73,10 @@ void BestResponseIndex::apply_delta(const MoveDelta& delta) {
   const CoinId lighter = delta.from;  // lost m_p: strictly more attractive
   const CoinId heavier = delta.to;    // gained m_p: strictly less attractive
   const std::int32_t heavier_id = static_cast<std::int32_t>(heavier.value);
-  const std::size_t n = game_->num_miners();
+  const std::vector<CoinId>& at = s.assignment();
+  const std::size_t n = at.size();
   for (std::uint32_t q = 0; q < n; ++q) {
-    const CoinId here = s.of(MinerId(q));
+    const CoinId here = at[q];
     // Dirty miners: own payoff changed (on a touched coin — this covers the
     // mover itself, now sitting on `to`), or the cached best response
     // worsened (== to) so the runner-up is unknown.
@@ -89,7 +90,7 @@ void BestResponseIndex::apply_delta(const MoveDelta& delta) {
 
 void BestResponseIndex::rescan(MinerId q) {
   const Configuration& s = *tracked_;
-  const CoinId here = s.of(q);
+  const CoinId here = s.assignment()[q.value];
   const std::size_t coins = game_->num_coins();
   std::uint32_t count = 0;
   // Mirrors the reference `best_response` scan: the running best starts at

@@ -38,8 +38,9 @@
 /// `LearningOptions::audit_potential` cross-checks it at runtime).
 ///
 /// Gains are cached lazily: a rescan invalidates the stored `Rational`
-/// gain and it is recomputed only when actually read (Move construction,
-/// max-gain scheduling), keeping rescans free of rational arithmetic.
+/// gain and it is recomputed only when actually read (`best_move`,
+/// ε-learning's relative gains), keeping rescans free of rational
+/// arithmetic.
 
 namespace goc::dynamics {
 
@@ -74,6 +75,11 @@ class BestResponseIndex {
   void reweight();
 
   const Game& game() const noexcept { return *game_; }
+
+  /// The exact comparator the index decides with (kept in step with the
+  /// game's rewards by `reweight`); schedulers order cross-miner gains
+  /// through its `compare_gains`.
+  const MoveComparator& comparator() const noexcept { return cmp_; }
 
   // ---------------------------------------------------------------- queries
 

@@ -1,6 +1,7 @@
 #include "dynamics/scheduler.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "dynamics/best_response_index.hpp"
 #include "util/assert.hpp"
@@ -138,28 +139,27 @@ class GainExtremalScheduler final : public Scheduler {
   std::optional<Move> pick_indexed(const Game& game, const Configuration& s,
                                    const BestResponseIndex& index) override {
     (void)game;
-    (void)s;
     // The extremal move over all improving (miner, coin) pairs decomposes
-    // per miner: the max-gain move of a miner is its best response, the
-    // min-gain move its lowest-payoff improving coin — with lowest-coin-id
-    // ties inside the miner, and the unstable scan in miner-id order with
-    // strict comparisons reproducing the lowest-miner-id tie-break.
-    // Cross-miner gain comparisons stay exact `Rational` (max-gain reads
-    // the cached gains; min-gain computes one candidate gain per unstable
-    // miner per pick — O(U) rational ops, traded against the considerably
-    // hairier i128 form of m_p·(F(t)/(M_t+m_p) − F(x)/M_x) comparisons).
-    std::optional<Move> chosen;
+    // per miner: a miner's max-gain move is its best response and its
+    // min-gain move its lowest-payoff improving coin, each with lowest
+    // coin id on ties. Across miners, the unstable set is walked in
+    // miner-id order and only a strictly better gain replaces the running
+    // winner, which reproduces the reference's lowest-miner-id tie-break.
+    // Gains are ordered by the comparator's exact `compare_gains`, so a
+    // `Rational` gain is built once per step, for the chosen move only.
+    const MoveComparator& cmp = index.comparator();
+    std::optional<std::pair<MinerId, CoinId>> chosen;
     for (const MinerId p : index.unstable()) {
-      Move candidate = kMax
-                           ? *index.best_move(p)
-                           : index.move_to(p, index.min_improving(p));
-      if (!chosen ||
-          (kMax ? candidate.gain > chosen->gain
-                : candidate.gain < chosen->gain)) {
-        chosen = std::move(candidate);
+      const CoinId to = kMax ? *index.best_of(p) : index.min_improving(p);
+      if (chosen) {
+        const std::strong_ordering vs =
+            cmp.compare_gains(s, p, to, chosen->first, chosen->second);
+        if (kMax ? vs <= 0 : vs >= 0) continue;
       }
+      chosen.emplace(p, to);
     }
-    return chosen;
+    if (!chosen) return std::nullopt;
+    return index.move_to(chosen->first, chosen->second);
   }
   std::string name() const override { return kMax ? "max-gain" : "min-gain"; }
   bool supports_index() const override { return true; }

@@ -47,15 +47,30 @@ std::uint64_t parse_job_id(const std::vector<std::string>& args,
   }
 }
 
-/// A scenario size flag: zero would only fail later, inside the job, so it
-/// is rejected at submit.
-std::size_t size_flag(const Cli& cli, const std::string& name,
-                      std::size_t fallback) {
-  const std::uint64_t value = cli.get_u64(name, fallback);
+/// A size must be at least 1: zero would only fail later, inside the job,
+/// so it is rejected at submit, naming the flag.
+void require_positive_size(const std::string& name, std::uint64_t value) {
   if (value == 0) {
     throw std::invalid_argument("option --" + name + " must be at least 1");
   }
+}
+
+/// A scenario size flag, rejected at submit when zero.
+std::size_t size_flag(const Cli& cli, const std::string& name,
+                      std::size_t fallback) {
+  const std::uint64_t value = cli.get_u64(name, fallback);
+  require_positive_size(name, value);
   return value;
+}
+
+/// A comma-separated list of sizes (a sweep axis); every entry must be at
+/// least 1.
+std::vector<std::size_t> size_list_flag(const Cli& cli,
+                                        const std::string& name) {
+  std::vector<std::size_t> values =
+      parse_size_list(cli.get_string(name, ""), "--" + name);
+  for (const std::size_t value : values) require_positive_size(name, value);
+  return values;
 }
 
 /// The shared progress vocabulary of `status` and `watch` — both render
@@ -174,8 +189,8 @@ JobTable::Work Server::make_sweep_work(const Cli& cli) {
   reject_unknown(cli, {"miners", "coins", "power-shapes", "reward-shapes",
                        "schedulers", "trials", "seed", "max-steps"});
   engine::SweepSpec spec;
-  spec.miner_counts = parse_size_list(cli.get_string("miners", ""), "--miners");
-  spec.coin_counts = parse_size_list(cli.get_string("coins", ""), "--coins");
+  spec.miner_counts = size_list_flag(cli, "miners");
+  spec.coin_counts = size_list_flag(cli, "coins");
   const auto split_names = [](const std::string& text) {
     std::vector<std::string> items;
     std::size_t start = 0;
@@ -202,7 +217,7 @@ JobTable::Work Server::make_sweep_work(const Cli& cli) {
        split_names(cli.get_string("schedulers", ""))) {
     spec.scheduler_kinds.push_back(scheduler_kind_from_name(name));
   }
-  spec.trials = cli.get_u64("trials", spec.trials);
+  spec.trials = size_flag(cli, "trials", spec.trials);
   spec.root_seed = cli.get_u64("seed", spec.root_seed);
   spec.learning.max_steps =
       cli.get_u64("max-steps", spec.learning.max_steps);
@@ -242,8 +257,8 @@ JobTable::Work Server::make_enumerate_work(const Cli& cli) {
   reject_unknown(cli, {"miners", "coins", "power-shape", "reward-shape",
                        "seed", "max-configs", "symmetry"});
   GameSpec spec;
-  spec.num_miners = cli.get_u64("miners", spec.num_miners);
-  spec.num_coins = cli.get_u64("coins", spec.num_coins);
+  spec.num_miners = size_flag(cli, "miners", spec.num_miners);
+  spec.num_coins = size_flag(cli, "coins", spec.num_coins);
   spec.power_shape =
       power_shape_from_name(cli.get_string("power-shape", "uniform"));
   spec.reward_shape =

@@ -8,13 +8,14 @@
 #include "dynamics/best_response_index.hpp"
 #include "dynamics/learning.hpp"
 #include "dynamics/scheduler.hpp"
+#include "obs/registry.hpp"
 
 /// The index contract: `dynamics::BestResponseIndex` must agree with the
 /// scan-based reference implementation in core/moves.* on every cached
 /// fact, and schedulers driven through it must pick bit-identical move
 /// sequences — for every scheduler kind, under adversarial mass ties
-/// (Assumption 2 off), under restricted access, and in the non-integer
-/// exact-arithmetic fallback mode.
+/// (Assumption 2 off), under restricted access, in the non-integer
+/// exact-arithmetic mode, and where i128 products overflow.
 
 namespace goc {
 namespace {
@@ -43,6 +44,39 @@ Game rational_game() {
   const std::size_t coins = rewards.size();
   return Game(System(std::move(powers), coins),
               RewardFunction(std::move(rewards)));
+}
+
+/// Integer powers with market-style rewards: `from_double` quantizations
+/// with denominators up to 2^20, which the comparator rescales to their
+/// lcm so that it compares integer numerators.
+Game common_denominator_game(Rng& rng) {
+  const Game base = random_integer_game(rng);
+  std::vector<Rational> weights;
+  for (std::size_t c = 0; c < base.num_coins(); ++c) {
+    weights.push_back(Rational::from_double(rng.uniform(0.1, 10.0), 1 << 20));
+  }
+  return Game(base.system_ptr(), RewardFunction(std::move(weights)));
+}
+
+/// Integer game whose gain cross products overflow i128: powers near 2^40
+/// and rewards near 2^30 keep every `move_gain` Rational representable
+/// (m·F·M stays below 2^115), while the gain fractions' cross products
+/// (about m·F·M³) need far more than 127 bits.
+Game overflow_game(Rng& rng) {
+  GameSpec spec;
+  spec.num_miners = 3 + static_cast<std::size_t>(rng.next_below(6));
+  spec.num_coins = 2 + static_cast<std::size_t>(rng.next_below(3));
+  spec.power_lo = std::int64_t{1} << 39;
+  spec.power_hi = std::int64_t{1} << 40;
+  spec.reward_lo = std::int64_t{1} << 29;
+  spec.reward_hi = std::int64_t{1} << 30;
+  return random_game(spec, rng);
+}
+
+/// The `core.compare.exact_fallbacks` counter: i128 decisions handed to
+/// `Rational` because a product overflowed.
+obs::Counter& exact_fallbacks() {
+  return obs::Registry::instance().counter("core.compare.exact_fallbacks");
 }
 
 /// Equal powers and equal rewards: Assumption 2 (genericity) is maximally
@@ -193,6 +227,56 @@ TEST(MoveComparator, RefreshTracksReweightedRewards) {
   }
 }
 
+TEST(MoveComparator, CompareGainsMatchesRationalGainOrder) {
+  // compare_gains must equal the order of the two exact `move_gain`
+  // Rationals for every (p→tp, q→tq) pair — improving, worsening and
+  // stay-put targets alike — in each comparator regime. Generator games
+  // never leave the i128 path; the overflow games must hand decisions to
+  // Rational. Common-denominator rescaling can go either way: the lcm of
+  // several from_double denominators reaches 2^60 and beyond.
+  obs::set_enabled(true);
+  exact_fallbacks().reset();
+  Rng rng(211);
+  const auto check = [](const Game& g, const Configuration& s) {
+    const MoveComparator cmp(g);
+    ASSERT_TRUE(cmp.fast_mode());
+    const std::size_t n = g.num_miners();
+    const std::size_t coins = g.num_coins();
+    std::vector<Rational> gains;
+    for (std::uint32_t p = 0; p < n; ++p) {
+      for (std::uint32_t t = 0; t < coins; ++t) {
+        gains.push_back(move_gain(g, s, MinerId(p), CoinId(t)));
+      }
+    }
+    for (std::size_t a = 0; a < gains.size(); ++a) {
+      for (std::size_t b = 0; b < gains.size(); ++b) {
+        const MinerId p(static_cast<std::uint32_t>(a / coins));
+        const CoinId tp(static_cast<std::uint32_t>(a % coins));
+        const MinerId q(static_cast<std::uint32_t>(b / coins));
+        const CoinId tq(static_cast<std::uint32_t>(b % coins));
+        ASSERT_EQ(cmp.compare_gains(s, p, tp, q, tq), gains[a] <=> gains[b])
+            << "p=" << p.value << " tp=" << tp.value << " q=" << q.value
+            << " tq=" << tq.value;
+      }
+    }
+  };
+  for (int trial = 0; trial < 6; ++trial) {
+    const Game g = random_integer_game(rng);
+    check(g, random_configuration(g, rng));
+  }
+  EXPECT_EQ(exact_fallbacks().total(), 0u);
+  for (int trial = 0; trial < 6; ++trial) {
+    const Game g = common_denominator_game(rng);
+    check(g, random_configuration(g, rng));
+  }
+  exact_fallbacks().reset();
+  for (int trial = 0; trial < 6; ++trial) {
+    const Game g = overflow_game(rng);
+    check(g, random_configuration(g, rng));
+  }
+  EXPECT_GT(exact_fallbacks().total(), 0u);
+}
+
 // --------------------------------------------------- reweight primitives
 
 TEST(RewardFunctionAssign, ReplacesInPlaceWithConstructorValidation) {
@@ -306,12 +390,11 @@ class IndexedSchedulerEquivalence
     : public ::testing::TestWithParam<
           std::tuple<SchedulerKind, std::uint64_t>> {};
 
-TEST_P(IndexedSchedulerEquivalence, TrajectoriesMatchMoveForMove) {
-  const auto [kind, seed] = GetParam();
-  Rng rng(seed);
-  const Game g = random_integer_game(rng);
-  const Configuration start = random_configuration(g, rng);
-
+/// Runs learning from `start` on the scan and the index path and expects
+/// the same moves, gains included.
+void expect_paths_match_move_for_move(const Game& g,
+                                      const Configuration& start,
+                                      SchedulerKind kind, std::uint64_t seed) {
   LearningOptions scan_opts;
   scan_opts.use_index = false;
   scan_opts.record_moves = true;
@@ -339,6 +422,14 @@ TEST_P(IndexedSchedulerEquivalence, TrajectoriesMatchMoveForMove) {
     EXPECT_EQ(a.to, b.to) << "step " << i;
     EXPECT_EQ(a.gain, b.gain) << "step " << i;
   }
+}
+
+TEST_P(IndexedSchedulerEquivalence, TrajectoriesMatchMoveForMove) {
+  const auto [kind, seed] = GetParam();
+  Rng rng(seed);
+  const Game g = random_integer_game(rng);
+  const Configuration start = random_configuration(g, rng);
+  expect_paths_match_move_for_move(g, start, kind, seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -465,6 +556,35 @@ TEST(IndexedScheduler, NonIntegerGameTrajectoriesMatch) {
     EXPECT_EQ(scan.move_hash, indexed.move_hash) << scheduler_kind_name(kind);
     EXPECT_TRUE(scan.final_configuration == indexed.final_configuration);
   }
+}
+
+TEST(IndexedScheduler, GainExtremalTrajectoriesMatchInOverflowRegime) {
+  // The gain-extremal schedulers order gains across miners with
+  // compare_gains. On generator games that stays on the i128 path; on
+  // overflow games the Rational fallback decides, and both must pick the
+  // scan's moves.
+  obs::set_enabled(true);
+  exact_fallbacks().reset();
+  for (const SchedulerKind kind :
+       {SchedulerKind::kMinGain, SchedulerKind::kMaxGain}) {
+    for (const std::uint64_t seed : {61u, 62u, 63u}) {
+      Rng rng(seed);
+      const Game g = random_integer_game(rng);
+      expect_paths_match_move_for_move(g, random_configuration(g, rng), kind,
+                                       seed);
+    }
+  }
+  EXPECT_EQ(exact_fallbacks().total(), 0u);
+  for (const SchedulerKind kind :
+       {SchedulerKind::kMinGain, SchedulerKind::kMaxGain}) {
+    for (const std::uint64_t seed : {71u, 72u, 73u, 74u}) {
+      Rng rng(seed);
+      const Game g = overflow_game(rng);
+      expect_paths_match_move_for_move(g, random_configuration(g, rng), kind,
+                                       seed);
+    }
+  }
+  EXPECT_GT(exact_fallbacks().total(), 0u);
 }
 
 // --------------------------------------------------------- epsilon driver

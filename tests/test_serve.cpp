@@ -185,6 +185,11 @@ TEST(Server, RejectsUnknownFlagsAndKinds) {
       {"submit batch --scenario=chain-reference --miners=-5", "--miners"},
       {"submit batch --scenario=chain-reference --miners=12abc", "--miners"},
       {"submit batch --scenario=chain-reference --engine=legacy", "engine"},
+      {"submit enumerate --miners=0 --coins=3", "--miners"},
+      {"submit enumerate --miners=4 --coins=0", "--coins"},
+      {"submit sweep --miners=5 --coins=2 --trials=0", "--trials"},
+      {"submit sweep --miners=5,0 --coins=2 --trials=2", "--miners"},
+      {"submit sweep --miners=5 --coins=0,3 --trials=2", "--coins"},
   };
   for (const auto& [request, flag] : rejected) {
     const std::string reply = respond(server, request);
