@@ -5,14 +5,15 @@
 /// `std::function` callback and re-verifies each candidate with full
 /// O(n·|C|) exact-Rational payoff scans. The engine (core/enumerate.hpp)
 /// walks canonical representatives with a templated incremental odometer,
-/// checks equilibria with i128 cross-multiplications, and shards the space
+/// checks equilibria with integer cross-multiplications (int64 under the
+/// comparator's bound, else i128), and shards the space
 /// across a ThreadPool with deterministic concatenation. This harness
 /// measures both on the same workloads and — under `--compare-scan` —
 /// asserts the results are bit-identical at 1 and `--threads` lanes.
 ///
 /// Workloads: the E5 reference exhaustive rows (distinct powers — no
-/// symmetry to exploit, so the speedup is pure devirtualization + i128 +
-/// threads), an equal-power family where canonical reduction collapses
+/// symmetry to exploit, so the speedup is pure devirtualization + integer
+/// arithmetic + threads), an equal-power family where canonical reduction collapses
 /// |C|^n to the multiset count, and the Assumption-1 / exact-potential
 /// walks ported onto the same engine.
 
@@ -66,7 +67,7 @@ int run(int argc, char** argv) {
   bench::banner(
       "Enumeration engine — parallel, symmetry-reduced exhaustive walks",
       "Old (std::function walk + Rational payoff scans) vs new (templated "
-      "canonical odometer + i128 checks + ThreadPool shards); "
+      "canonical odometer + integer checks + ThreadPool shards); "
       "--compare-scan asserts bit-identical results at any thread count.");
 
   // One pool for the whole run — per-call spawning would swamp small

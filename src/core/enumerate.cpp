@@ -1,6 +1,7 @@
 #include "core/enumerate.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "util/assert.hpp"
 #include "util/int128.hpp"
@@ -372,20 +373,31 @@ ShardPlan plan_shards(const System& system, const SymmetryClasses& classes,
   return plan;
 }
 
-IntegerGameView integer_game_view(const Game& game) {
-  IntegerGameView view;
+template <typename Int>
+IntegerGameView<Int> integer_game_view(const Game& game) {
+  constexpr bool kWide = std::is_same_v<Int, i128>;
+  const auto narrowed = [](const Rational& value, const char* what) {
+    GOC_CHECK_ARG(value.is_integer(), what);
+    GOC_CHECK_ARG(kWide || value.numerator() <= static_cast<i128>(INT64_MAX),
+                  "integer_game_view: value exceeds the walk's width");
+    return static_cast<Int>(value.numerator());
+  };
+  IntegerGameView<Int> view;
   view.power.reserve(game.num_miners());
   for (const Rational& m : game.system().powers()) {
-    GOC_CHECK_ARG(m.is_integer(), "integer_game_view requires integer powers");
-    view.power.push_back(m.numerator());
+    view.power.push_back(
+        narrowed(m, "integer_game_view requires integer powers"));
   }
   view.reward.reserve(game.num_coins());
   for (const Rational& f : game.rewards().values()) {
-    GOC_CHECK_ARG(f.is_integer(), "integer_game_view requires integer rewards");
-    view.reward.push_back(f.numerator());
+    view.reward.push_back(
+        narrowed(f, "integer_game_view requires integer rewards"));
   }
   return view;
 }
+
+template IntegerGameView<std::int64_t> integer_game_view(const Game& game);
+template IntegerGameView<i128> integer_game_view(const Game& game);
 
 Configuration materialize_configuration(const std::shared_ptr<const System>& system,
                                         const std::vector<std::uint32_t>& digits) {

@@ -43,9 +43,17 @@
 ///    Shards are indexed in global odometer order and sized exactly
 ///    (`ShardPlan::sizes` / `start_ranks`), so per-shard results
 ///    concatenate into a result that is bit-identical at any thread count.
-///  * **i128 predicates** — consumers check equilibrium/stability inside
-///    the walk with `MoveComparator` (core/move_compare.hpp) instead of
-///    exact `Rational` payoff scans.
+///  * **Integer predicates** — consumers check equilibrium/stability inside
+///    the walk without `Rational` payoff scans, in the comparator's three
+///    exact tiers (core/move_compare.hpp). On integer games with
+///    unrestricted access the walk itself runs on raw integers
+///    (`walk_canonical_range_integer`, a template on its width): `int64`
+///    with unchecked cross products when M_tot·K_max ≤ INT64_MAX
+///    (`MoveComparator::narrow_mode`, checked in i128 once per game),
+///    otherwise `i128` with overflow-checked products that fall back to
+///    `Rational`. Other games walk `Configuration`s and ask
+///    `MoveComparator` directly. The `obs` counters `enum.walks.int64` /
+///    `enum.walks.i128` record which width each integer walk ran at.
 ///
 /// The legacy `for_each_configuration` callback walker is kept verbatim as
 /// the validation reference (`--compare-scan` paths and golden tests).
@@ -376,76 +384,38 @@ auto enumerate_states(const std::shared_ptr<const System>& system,
 
 // ------------------------------------------------------------ integer walk
 
-/// Precomputed raw numerators for the integer fast path (valid only when
-/// every power and reward is an integer — `MoveComparator::integer_mode` —
-/// where numerators ARE the values).
+/// Precomputed raw numerators for the integer walk (valid only when every
+/// power and reward is an integer — `MoveComparator::integer_mode` — where
+/// numerators ARE the values). `Int` is the walk's width: `std::int64_t`
+/// when the comparator's bound holds (`MoveComparator::narrow_mode`),
+/// `i128` otherwise.
+template <typename Int>
 struct IntegerGameView {
-  std::vector<i128> power;   ///< miner -> m_p
-  std::vector<i128> reward;  ///< coin -> F(c)
+  std::vector<Int> power;   ///< miner -> m_p
+  std::vector<Int> reward;  ///< coin -> F(c)
 };
 
-IntegerGameView integer_game_view(const Game& game);
+/// Throws std::invalid_argument unless every power and reward is an
+/// integer that fits `Int`. Instantiated for `std::int64_t` and `i128`.
+template <typename Int>
+IntegerGameView<Int> integer_game_view(const Game& game);
 
 /// The integer walker's state: the plain odometer plus incrementally
 /// maintained raw masses and populations — what `Configuration` tracks,
 /// without a `Rational` (or a heap object) anywhere near the hot loop.
+template <typename Int>
 struct IntegerWalkState {
   std::vector<std::uint32_t> digits;      ///< miner -> coin
-  std::vector<i128> mass;                 ///< coin -> M_c
+  std::vector<Int> mass;                  ///< coin -> M_c
   std::vector<std::uint32_t> population;  ///< coin -> |P_c|
 };
 
-/// `walk_canonical_shard` on raw integers: same canonical odometer, same
-/// order, ~4 i128 adds per step. `visit(const IntegerWalkState&)` returns
-/// false to abort. Consumers materialize a `Configuration` only on hits
-/// (`materialize_configuration`).
-template <typename Visit>
-bool walk_canonical_shard_integer(const IntegerGameView& view,
-                                  const SymmetryClasses& classes,
-                                  std::size_t num_coins, std::size_t free_miners,
-                                  const std::vector<std::uint32_t>& prefix,
-                                  Visit&& visit) {
-  const std::size_t n = view.power.size();
-  const std::uint32_t coins = static_cast<std::uint32_t>(num_coins);
-  IntegerWalkState st;
-  st.digits.assign(n, 0);
-  for (std::size_t j = free_miners; j < n; ++j) st.digits[j] = prefix[j - free_miners];
-  st.mass.assign(coins, 0);
-  st.population.assign(coins, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    st.mass[st.digits[i]] += view.power[i];
-    ++st.population[st.digits[i]];
-  }
-  for (;;) {
-    if (!visit(static_cast<const IntegerWalkState&>(st))) return false;
-    std::size_t pos = 0;
-    while (pos < free_miners) {
-      const std::uint32_t from = st.digits[pos];
-      if (from < canonical_cap(classes, st.digits, pos, coins)) {
-        st.mass[from] -= view.power[pos];
-        --st.population[from];
-        st.digits[pos] = from + 1;
-        st.mass[from + 1] += view.power[pos];
-        ++st.population[from + 1];
-        break;
-      }
-      if (from != 0) {
-        st.mass[from] -= view.power[pos];
-        --st.population[from];
-        st.digits[pos] = 0;
-        st.mass[0] += view.power[pos];
-        ++st.population[0];
-      }
-      ++pos;
-    }
-    if (pos == free_miners) return true;  // shard odometer wrapped
-  }
-}
-
 /// `walk_canonical_range` on raw integers: same global canonical odometer,
-/// same order, countdown instead of prefix pinning.
-template <typename Visit>
-bool walk_canonical_range_integer(const IntegerGameView& view,
+/// same order, ~4 integer adds per step. `visit(const
+/// IntegerWalkState<Int>&)` returns false to abort. Consumers materialize
+/// a `Configuration` only on hits (`materialize_configuration`).
+template <typename Int, typename Visit>
+bool walk_canonical_range_integer(const IntegerGameView<Int>& view,
                                   const SymmetryClasses& classes,
                                   std::size_t num_coins,
                                   const std::vector<std::uint32_t>& start,
@@ -453,7 +423,7 @@ bool walk_canonical_range_integer(const IntegerGameView& view,
   if (count == 0) return true;
   const std::size_t n = view.power.size();
   const std::uint32_t coins = static_cast<std::uint32_t>(num_coins);
-  IntegerWalkState st;
+  IntegerWalkState<Int> st;
   st.digits = start;
   st.mass.assign(coins, 0);
   st.population.assign(coins, 0);
@@ -462,7 +432,7 @@ bool walk_canonical_range_integer(const IntegerGameView& view,
     ++st.population[st.digits[i]];
   }
   for (;;) {
-    if (!visit(static_cast<const IntegerWalkState&>(st))) return false;
+    if (!visit(static_cast<const IntegerWalkState<Int>&>(st))) return false;
     if (--count == 0) return true;
     std::size_t pos = 0;
     while (pos < n) {
@@ -489,8 +459,8 @@ bool walk_canonical_range_integer(const IntegerGameView& view,
 }
 
 /// `enumerate_planned` over the integer walker.
-template <typename MakeState, typename Visit>
-auto enumerate_planned_integer(const IntegerGameView& view,
+template <typename Int, typename MakeState, typename Visit>
+auto enumerate_planned_integer(const IntegerGameView<Int>& view,
                                const SymmetryClasses& classes,
                                std::size_t num_coins, const ShardPlan& plan,
                                const EnumerationOptions& opts, std::size_t lanes,
@@ -501,20 +471,26 @@ auto enumerate_planned_integer(const IntegerGameView& view,
       [&](auto& state, std::size_t i) {
         walk_canonical_range_integer(view, classes, num_coins, plan.starts[i],
                                      plan.sizes[i],
-                                     [&](const IntegerWalkState& st) {
+                                     [&](const IntegerWalkState<Int>& st) {
                                        return visit(state, st, i);
                                      });
       });
 }
 
 /// `enumerate_states` over the integer walker: resolves lanes and plans
-/// shards from `opts`, then fans out `walk_canonical_shard_integer`.
-template <typename MakeState, typename Visit>
-auto enumerate_states_integer(const Game& game, const IntegerGameView& view,
+/// shards from `opts`, then fans out `walk_canonical_range_integer`. Each
+/// call bumps `enum.walks.int64` or `enum.walks.i128` once, by width.
+template <typename Int, typename MakeState, typename Visit>
+auto enumerate_states_integer(const Game& game,
+                              const IntegerGameView<Int>& view,
                               const SymmetryClasses& classes,
                               const EnumerationOptions& opts,
                               MakeState&& make_state, Visit&& visit)
     -> std::vector<std::decay_t<std::invoke_result_t<MakeState&, std::size_t>>> {
+  static obs::Counter& kWalks = obs::Registry::instance().counter(
+      std::is_same_v<Int, std::int64_t> ? "enum.walks.int64"
+                                        : "enum.walks.i128");
+  kWalks.add();
   const auto canonical = canonical_count(game.system(), classes);
   const std::size_t lanes = enumeration_lanes(opts, canonical);
   const ShardPlan plan =

@@ -1,5 +1,7 @@
 #include "core/move_compare.hpp"
 
+#include <algorithm>
+
 #include "core/moves.hpp"
 #include "obs/registry.hpp"
 #include "util/rational.hpp"
@@ -61,6 +63,7 @@ void MoveComparator::refresh() {
   }
   integer_mode_ = integer_powers && integer_rewards;
   fast_mode_ = false;
+  narrow_ = false;
   if (!integer_powers) return;  // masses would not be integers
   // Orderings are invariant under scaling every reward by one positive
   // constant, so rescale to the common denominator L = lcm(den(F(c))) and
@@ -80,31 +83,26 @@ void MoveComparator::refresh() {
     }
   }
   fast_mode_ = true;
+  // The int64 tier's bound: every denominator `compare` / `stable` form
+  // is a coin's mass, or another coin's mass plus m_p, so at most M_tot;
+  // every numerator is some K_c <= K_max. M_tot·K_max <= INT64_MAX then
+  // bounds every cross product. Checked here in i128, once per reward set.
+  i128 total_power = 0;
+  for (const Rational& m : game_->system().powers()) {
+    if (add_overflow(total_power, m.numerator(), &total_power)) return;
+  }
+  i128 max_reward = 0;
+  for (const i128 k : scaled_rewards_) max_reward = std::max(max_reward, k);
+  i128 bound;
+  narrow_ = !mul_overflow(total_power, max_reward, &bound) &&
+            bound <= static_cast<i128>(INT64_MAX);
 }
 
-std::strong_ordering MoveComparator::compare(const Configuration& s, MinerId p,
-                                             CoinId c1, CoinId c2) const {
-  GOC_DASSERT(p.value < s.num_miners() && c1.value < s.num_coins() &&
-                  c2.value < s.num_coins(),
-              "compare: miner or coin out of range");
-  if (c1 == c2) return std::strong_ordering::equal;
+std::strong_ordering MoveComparator::compare_wide(const Configuration& s,
+                                                  MinerId p, CoinId c1,
+                                                  CoinId c2) const {
+  if (fast_mode_) return compare_integer<i128>(s, p, c1, c2);
   const CoinId here = s.assignment()[p.value];
-  if (fast_mode_) {
-    // Powers (hence masses) are integers stored in normalized Rationals,
-    // so the numerators ARE the values; rewards enter as their rescaled
-    // integer numerators K_c (the common denominator L cancels from the
-    // ratio). Post-move "value" of coin c for p is K_c / D_c with
-    // D_c = M_c + m_p for a move and D_c = M_c for the current coin
-    // (whose mass already includes m_p); the common factor m_p > 0 cancels
-    // from both sides.
-    const std::vector<Rational>& mass = s.masses();
-    const i128 mp = game_->system().powers()[p.value].numerator();
-    const i128 n1 = scaled_rewards_[c1.value];
-    const i128 n2 = scaled_rewards_[c2.value];
-    const i128 d1 = mass[c1.value].numerator() + (c1 == here ? 0 : mp);
-    const i128 d2 = mass[c2.value].numerator() + (c2 == here ? 0 : mp);
-    return compare_positive_fractions(n1, d1, n2, d2);
-  }
   const Rational v1 = c1 == here ? game_->payoff(s, p)
                                  : game_->payoff_if_move(s, p, c1);
   const Rational v2 = c2 == here ? game_->payoff(s, p)
@@ -141,27 +139,8 @@ std::strong_ordering MoveComparator::compare_gains(const Configuration& s,
   return move_gain(*game_, s, p, tp) <=> move_gain(*game_, s, q, tq);
 }
 
-bool MoveComparator::stable(const Configuration& s, MinerId p) const {
-  GOC_DASSERT(p.value < s.num_miners(), "stable: miner out of range");
-  const CoinId here = s.assignment()[p.value];
-  const std::uint32_t coins = static_cast<std::uint32_t>(s.num_coins());
-  if (fast_mode_) {
-    // Hoist the loop-invariant "stay put" side: K_here/M_here, with
-    // M_here already including m_p.
-    const std::vector<Rational>& mass = s.masses();
-    const i128 mp = game_->system().powers()[p.value].numerator();
-    const i128 n_here = scaled_rewards_[here.value];
-    const i128 d_here = mass[here.value].numerator();
-    for (std::uint32_t c = 0; c < coins; ++c) {
-      const CoinId coin(c);
-      if (coin == here) continue;
-      if (!unrestricted_ && !game_->can_mine(p, coin)) continue;
-      const i128 n_c = scaled_rewards_[c];
-      const i128 d_c = mass[c].numerator() + mp;
-      if (compare_positive_fractions(n_c, d_c, n_here, d_here) > 0) return false;
-    }
-    return true;
-  }
+bool MoveComparator::stable_wide(const Configuration& s, MinerId p) const {
+  if (fast_mode_) return stable_integer<i128>(s, p);
   return is_stable(*game_, s, p);
 }
 

@@ -66,9 +66,12 @@ std::optional<CoinId> never_alone_violation_fast(const Game& game,
   return std::nullopt;
 }
 
-/// `never_alone_violation_at` on the raw integer walk state.
-std::optional<CoinId> integer_never_alone_violation(const IntegerGameView& view,
-                                                    const IntegerWalkState& st) {
+/// `never_alone_violation_at` on the raw integer walk state of width
+/// `Int`: unchecked for int64 (walked only under
+/// `MoveComparator::narrow_mode`'s bound), overflow-checked for i128.
+template <typename Int>
+std::optional<CoinId> integer_never_alone_violation(
+    const IntegerGameView<Int>& view, const IntegerWalkState<Int>& st) {
   const std::size_t n = view.power.size();
   const std::uint32_t coins = static_cast<std::uint32_t>(view.reward.size());
   for (std::uint32_t c = 0; c < coins; ++c) {
@@ -77,14 +80,52 @@ std::optional<CoinId> integer_never_alone_violation(const IntegerGameView& view,
     for (std::size_t p = 0; p < n && !someone_wants_in; ++p) {
       const std::uint32_t here = st.digits[p];
       if (here == c) continue;
-      if (compare_positive_fractions(view.reward[c], st.mass[c] + view.power[p],
-                                     view.reward[here], st.mass[here]) > 0) {
+      if (compare_fractions<Int>(view.reward[c], st.mass[c] + view.power[p],
+                                 view.reward[here], st.mass[here]) > 0) {
         someone_wants_in = true;
       }
     }
     if (!someone_wants_in) return CoinId(c);
   }
   return std::nullopt;
+}
+
+/// Records a shard's witness and lowers the cross-shard minimum: once
+/// shard i holds a witness, shards above i abort; shards below i always
+/// finish, so the reported witness is the first violating canonical
+/// configuration regardless of thread count.
+void record_witness(std::optional<NeverAloneViolation>& witness,
+                    NeverAloneViolation violation, std::size_t shard,
+                    std::atomic<std::size_t>& found_shard) {
+  witness = std::move(violation);
+  atomic_store_min(found_shard, shard);
+}
+
+/// Per-shard witnesses of an integer game with unrestricted access, on the
+/// raw walk of width `Int`. A shard stops at its first witness, and at any
+/// visit once a lower shard holds one (`found_shard`).
+template <typename Int>
+std::vector<std::optional<NeverAloneViolation>> integer_never_alone_witnesses(
+    const Game& game, const EnumerationOptions& opts,
+    const SymmetryClasses& classes, std::atomic<std::size_t>& found_shard) {
+  const IntegerGameView<Int> view = integer_game_view<Int>(game);
+  return enumerate_states_integer(
+      game, view, classes, opts,
+      [](std::size_t) { return std::optional<NeverAloneViolation>(); },
+      [&](std::optional<NeverAloneViolation>& witness,
+          const IntegerWalkState<Int>& st, std::size_t shard) {
+        if (found_shard.load(std::memory_order_relaxed) < shard) return false;
+        if (const auto coin = integer_never_alone_violation(view, st)) {
+          record_witness(witness,
+                         NeverAloneViolation{
+                             materialize_configuration(game.system_ptr(),
+                                                       st.digits),
+                             *coin},
+                         shard, found_shard);
+          return false;
+        }
+        return true;
+      });
 }
 
 }  // namespace
@@ -97,35 +138,15 @@ std::optional<NeverAloneViolation> find_never_alone_violation(
   const SymmetryClasses classes = classes_for(game, opts);
   const MoveComparator cmp(game);
 
-  // Cross-shard early exit: once shard i holds a witness, shards above i
-  // abort; shards below i always finish, so the reported witness is the
-  // first violating canonical configuration regardless of thread count.
   std::atomic<std::size_t> found_shard{SIZE_MAX};
-  const auto record = [&](std::optional<NeverAloneViolation>& witness,
-                          NeverAloneViolation violation, std::size_t shard) {
-    witness = std::move(violation);
-    atomic_store_min(found_shard, shard);
-  };
-
   std::vector<std::optional<NeverAloneViolation>> states;
   if (cmp.integer_mode() && game.access().is_unrestricted()) {
-    const IntegerGameView view = integer_game_view(game);
-    states = enumerate_states_integer(
-        game, view, classes, opts,
-        [](std::size_t) { return std::optional<NeverAloneViolation>(); },
-        [&](std::optional<NeverAloneViolation>& witness, const IntegerWalkState& st,
-            std::size_t shard) {
-          if (found_shard.load(std::memory_order_relaxed) < shard) return false;
-          if (const auto coin = integer_never_alone_violation(view, st)) {
-            record(witness,
-                   NeverAloneViolation{
-                       materialize_configuration(game.system_ptr(), st.digits),
-                       *coin},
-                   shard);
-            return false;
-          }
-          return true;
-        });
+    // Raw odometer at the width the comparator's bound allows.
+    states = cmp.narrow_mode()
+                 ? integer_never_alone_witnesses<std::int64_t>(
+                       game, opts, classes, found_shard)
+                 : integer_never_alone_witnesses<i128>(game, opts, classes,
+                                                       found_shard);
   } else {
     states = enumerate_states(
         game.system_ptr(), classes, opts,
@@ -134,7 +155,8 @@ std::optional<NeverAloneViolation> find_never_alone_violation(
             std::size_t shard) {
           if (found_shard.load(std::memory_order_relaxed) < shard) return false;
           if (const auto coin = never_alone_violation_fast(game, cmp, s)) {
-            record(witness, NeverAloneViolation{s, *coin}, shard);
+            record_witness(witness, NeverAloneViolation{s, *coin}, shard,
+                           found_shard);
             return false;
           }
           return true;

@@ -21,8 +21,12 @@ namespace {
 
 /// `is_equilibrium` on the raw integer walk state: p improves by moving to
 /// c iff F(c)/(M_c + m_p) > F(s.p)/M_{s.p} — cross-multiplied, first
-/// improving miner exits.
-bool integer_equilibrium(const IntegerGameView& view, const IntegerWalkState& st) {
+/// improving miner exits. Unchecked for int64 (the walk runs at that width
+/// only under `MoveComparator::narrow_mode`'s bound), overflow-checked for
+/// i128.
+template <typename Int>
+bool integer_equilibrium(const IntegerGameView<Int>& view,
+                         const IntegerWalkState<Int>& st) {
   const std::size_t n = view.power.size();
   const std::uint32_t coins = static_cast<std::uint32_t>(view.reward.size());
   // Highest miner id first: generators emit powers sorted descending, and
@@ -30,18 +34,39 @@ bool integer_equilibrium(const IntegerGameView& view, const IntegerWalkState& st
   // (the boolean is order-independent either way).
   for (std::size_t p = n; p-- > 0;) {
     const std::uint32_t here = st.digits[p];
-    const i128 mp = view.power[p];
-    const i128 n_here = view.reward[here];
-    const i128 d_here = st.mass[here];
+    const Int mp = view.power[p];
+    const Int n_here = view.reward[here];
+    const Int d_here = st.mass[here];
     for (std::uint32_t c = 0; c < coins; ++c) {
       if (c == here) continue;
-      if (compare_positive_fractions(view.reward[c], st.mass[c] + mp, n_here,
-                                     d_here) > 0) {
+      if (compare_fractions<Int>(view.reward[c], st.mass[c] + mp, n_here,
+                                 d_here) > 0) {
         return false;
       }
     }
   }
   return true;
+}
+
+/// The equilibria among the canonical configurations of an integer game
+/// with unrestricted access, per shard, on the raw walk of width `Int`
+/// (hits only are materialized).
+template <typename Int>
+std::vector<std::vector<Configuration>> integer_equilibria(
+    const Game& game, const EnumerationOptions& opts,
+    const SymmetryClasses& classes) {
+  const IntegerGameView<Int> view = integer_game_view<Int>(game);
+  return enumerate_states_integer(
+      game, view, classes, opts,
+      [](std::size_t) { return std::vector<Configuration>(); },
+      [&](std::vector<Configuration>& found, const IntegerWalkState<Int>& st,
+          std::size_t) {
+        if (integer_equilibrium(view, st)) {
+          found.push_back(
+              materialize_configuration(game.system_ptr(), st.digits));
+        }
+        return true;
+      });
 }
 
 /// Shared core: both public entry points compute the class partition once
@@ -57,18 +82,12 @@ CanonicalEquilibria enumerate_canonical_with(const Game& game,
 
   std::vector<std::vector<Configuration>> found_per_shard;
   if (cmp.integer_mode() && game.access().is_unrestricted()) {
-    // Integer fast path: raw-i128 odometer, materialize hits only.
-    const IntegerGameView view = integer_game_view(game);
-    found_per_shard = enumerate_states_integer(
-        game, view, classes, opts,
-        [](std::size_t) { return std::vector<Configuration>(); },
-        [&](std::vector<Configuration>& found, const IntegerWalkState& st,
-            std::size_t) {
-          if (integer_equilibrium(view, st)) {
-            found.push_back(materialize_configuration(game.system_ptr(), st.digits));
-          }
-          return true;
-        });
+    // Integer fast path: a raw odometer at the width the comparator's
+    // bound allows, materializing hits only.
+    found_per_shard =
+        cmp.narrow_mode()
+            ? integer_equilibria<std::int64_t>(game, opts, classes)
+            : integer_equilibria<i128>(game, opts, classes);
   } else {
     struct ShardState {
       AccessTracker tracker;

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <istream>
 #include <ostream>
@@ -61,6 +62,18 @@ std::size_t size_flag(const Cli& cli, const std::string& name,
   const std::uint64_t value = cli.get_u64(name, fallback);
   require_positive_size(name, value);
   return value;
+}
+
+/// A simulated horizon in days, rejected at submit unless finite and
+/// positive: a negative or NaN horizon fails inside the simulator, zero
+/// runs an empty study, and an infinite one never ends.
+double days_flag(const Cli& cli, double fallback) {
+  const double days = cli.get_double("days", fallback);
+  if (!std::isfinite(days) || days <= 0) {
+    throw std::invalid_argument(
+        "option --days must be a finite number greater than 0");
+  }
+  return days;
 }
 
 /// A comma-separated list of sizes (a sweep axis); every entry must be at
@@ -132,7 +145,7 @@ JobTable::Work Server::make_batch_work(const Cli& cli) {
     sim::ReferenceChainParams params;
     params.miners = size_flag(cli, "miners", params.miners);
     params.chains = size_flag(cli, "chains", params.chains);
-    params.days = cli.get_double("days", params.days);
+    params.days = days_flag(cli, params.days);
     params.epoch_lanes = sim::epoch_lanes_from_cli(cli, params.epoch_lanes);
     return [options, params](const engine::CancelView& cancel,
                              const JobTable::ProgressFn& progress) {
@@ -148,7 +161,7 @@ JobTable::Work Server::make_batch_work(const Cli& cli) {
   if (scenario == "market-random") {
     const std::size_t miners = size_flag(cli, "miners", 48);
     const std::size_t coins = size_flag(cli, "coins", 3);
-    const double days = cli.get_double("days", 30.0);
+    const double days = days_flag(cli, 30.0);
     const std::uint64_t seed = options.root_seed;
     // market::Scenario is move-only (unique_ptr price processes), and a
     // JobTable::Work must be copyable — rebuild the prototype inside the
@@ -167,7 +180,7 @@ JobTable::Work Server::make_batch_work(const Cli& cli) {
   if (scenario == "market-fork") {
     market::ForkFlipParams params;
     params.miners = size_flag(cli, "miners", params.miners);
-    params.days = cli.get_double("days", params.days);
+    params.days = days_flag(cli, params.days);
     params.seed = cli.get_u64("seed", params.seed);
     return [options, params](const engine::CancelView& cancel,
                              const JobTable::ProgressFn& progress) {

@@ -8,6 +8,7 @@
 #include "dynamics/best_response_index.hpp"
 #include "dynamics/learning.hpp"
 #include "dynamics/scheduler.hpp"
+#include "int64_bound_games.hpp"
 #include "obs/registry.hpp"
 
 /// The index contract: `dynamics::BestResponseIndex` must agree with the
@@ -132,6 +133,7 @@ TEST(MoveComparator, AgreesWithPayoffOrderOnRandomConfigurations) {
     const Game g = random_integer_game(rng);
     const MoveComparator cmp(g);
     EXPECT_TRUE(cmp.integer_mode());
+    EXPECT_TRUE(cmp.narrow_mode());  // generator games fit int64
     const Configuration s = random_configuration(g, rng);
     for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
       const MinerId miner(p);
@@ -275,6 +277,78 @@ TEST(MoveComparator, CompareGainsMatchesRationalGainOrder) {
     check(g, random_configuration(g, rng));
   }
   EXPECT_GT(exact_fallbacks().total(), 0u);
+}
+
+TEST(MoveComparator, Int64TierAgreesWithRationalAtTheBound) {
+  // M_tot·K_max just below INT64_MAX runs compare/stable on unchecked
+  // int64; just above, on checked i128. Both sides must agree with the
+  // Rational reference, including the all-on-one-coin configurations,
+  // whose cross products K_max·M_tot come closest to the limit. Neither
+  // side overflows i128, so no decision reaches Rational.
+  obs::set_enabled(true);
+  exact_fallbacks().reset();
+  Rng rng(307);
+  for (const bool above : {false, true}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const std::size_t miners =
+          3 + static_cast<std::size_t>(rng.next_below(5));
+      const std::size_t coins =
+          2 + static_cast<std::size_t>(rng.next_below(3));
+      const Game g = testing::int64_bound_game(rng, miners, coins, above);
+      const MoveComparator cmp(g);
+      ASSERT_TRUE(cmp.integer_mode());
+      EXPECT_EQ(cmp.narrow_mode(), !above) << g.to_string();
+      std::vector<Configuration> configs;
+      for (std::uint32_t c = 0; c < coins; ++c) {
+        configs.push_back(Configuration::all_at(g.system_ptr(), CoinId(c)));
+      }
+      for (int i = 0; i < 4; ++i) {
+        configs.push_back(random_configuration(g, rng));
+      }
+      for (const Configuration& s : configs) {
+        for (std::uint32_t p = 0; p < miners; ++p) {
+          const MinerId miner(p);
+          EXPECT_EQ(cmp.stable(s, miner), is_stable(g, s, miner));
+          for (std::uint32_t a = 0; a < coins; ++a) {
+            if (CoinId(a) != s.of(miner)) {
+              EXPECT_EQ(cmp.improves(s, miner, CoinId(a)),
+                        is_better_response(g, s, miner, CoinId(a)));
+            }
+            for (std::uint32_t b = 0; b < coins; ++b) {
+              const Rational va = g.payoff_if_move(s, miner, CoinId(a));
+              const Rational vb = g.payoff_if_move(s, miner, CoinId(b));
+              EXPECT_EQ(cmp.compare(s, miner, CoinId(a), CoinId(b)), va <=> vb);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(exact_fallbacks().total(), 0u);
+}
+
+TEST(MoveComparator, RefreshRederivesTheInt64Bound) {
+  // A reweight can carry a game across the bound in either direction;
+  // refresh must re-derive the tier, or an epoch would run unchecked int64
+  // on products that no longer fit.
+  Rng rng(311);
+  Game g = testing::int64_bound_game(rng, 4, 3, /*above=*/false);
+  MoveComparator cmp(g);
+  EXPECT_TRUE(cmp.narrow_mode());
+  const std::vector<Rational> below = g.rewards().values();
+  std::vector<Rational> above = below;
+  for (Rational& f : above) f = f + f;
+  g.reweight(above);
+  cmp.refresh();
+  EXPECT_FALSE(cmp.narrow_mode());
+  EXPECT_TRUE(cmp.fast_mode());
+  const Configuration s = Configuration::all_at(g.system_ptr(), CoinId(0));
+  for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
+    EXPECT_EQ(cmp.stable(s, MinerId(p)), is_stable(g, s, MinerId(p)));
+  }
+  g.reweight(below);
+  cmp.refresh();
+  EXPECT_TRUE(cmp.narrow_mode());
 }
 
 // --------------------------------------------------- reweight primitives

@@ -9,6 +9,8 @@
 #include "core/moves.hpp"
 #include "equilibrium/assumptions.hpp"
 #include "equilibrium/enumerate.hpp"
+#include "int64_bound_games.hpp"
+#include "obs/registry.hpp"
 #include "potential/exact_potential.hpp"
 
 namespace goc {
@@ -390,6 +392,83 @@ TEST(NeverAloneEngine, WitnessIsThreadCountInvariant) {
     ASSERT_TRUE(parallel.has_value());
     EXPECT_EQ(parallel->s, serial->s);
     EXPECT_EQ(parallel->coin, serial->coin);
+  }
+}
+
+// ------------------------------------------------------------ int64 walk
+
+/// Integer walks run by width, from the `enum.walks.*` counters.
+struct WalkWidths {
+  std::uint64_t int64;
+  std::uint64_t i128;
+};
+
+WalkWidths walk_widths() {
+  obs::Registry& registry = obs::Registry::instance();
+  return {registry.counter("enum.walks.int64").total(),
+          registry.counter("enum.walks.i128").total()};
+}
+
+void reset_walk_widths() {
+  obs::Registry::instance().counter("enum.walks.int64").reset();
+  obs::Registry::instance().counter("enum.walks.i128").reset();
+}
+
+TEST(IntegerWalkWidth, AgreesWithScansOnBothSidesOfTheBound) {
+  // Just below the bound the walk and both predicates run on unchecked
+  // int64; just above, on i128. Either way the canonical equilibria must
+  // expand to exactly the scan's set, and the never-alone check must agree
+  // with its scan — with the counters showing which width ran, once per
+  // call.
+  obs::set_enabled(true);
+  Rng rng(613);
+  for (const bool above : {false, true}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::size_t miners =
+          4 + static_cast<std::size_t>(rng.next_below(3));
+      const std::size_t coins =
+          2 + static_cast<std::size_t>(rng.next_below(2));
+      const Game g = testing::int64_bound_game(rng, miners, coins, above);
+      ASSERT_EQ(MoveComparator(g).narrow_mode(), !above) << g.to_string();
+      const auto scan = enumerate_equilibria_scan(g);
+
+      reset_walk_widths();
+      const CanonicalEquilibria canonical =
+          enumerate_canonical_equilibria(g, EnumerationOptions());
+      EXPECT_EQ(walk_widths().int64, above ? 0u : 1u);
+      EXPECT_EQ(walk_widths().i128, above ? 1u : 0u);
+      EXPECT_EQ(canonical.total(), scan.size()) << g.to_string();
+      for (const Configuration& rep : canonical.representatives) {
+        EXPECT_NE(std::find(scan.begin(), scan.end(), rep), scan.end())
+            << rep.to_string();
+      }
+      ParallelOpts parallel(3, true);
+      EXPECT_EQ(enumerate_equilibria(g, parallel.opts), scan) << g.to_string();
+
+      reset_walk_widths();
+      const auto witness = find_never_alone_violation(g);
+      EXPECT_EQ(walk_widths().int64, above ? 0u : 1u);
+      EXPECT_EQ(walk_widths().i128, above ? 1u : 0u);
+      EXPECT_EQ(witness.has_value(),
+                find_never_alone_violation_scan(g).has_value());
+      if (witness.has_value()) {
+        EXPECT_EQ(never_alone_violation_at(g, witness->s), witness->coin);
+      }
+    }
+  }
+}
+
+TEST(IntegerWalkWidth, GeneratorGamesWalkOnInt64) {
+  obs::set_enabled(true);
+  for (const Game& g : golden_games()) {
+    if (!MoveComparator(g).integer_mode() || !g.access().is_unrestricted()) {
+      continue;  // these games never take the integer walk
+    }
+    reset_walk_widths();
+    enumerate_canonical_equilibria(g, EnumerationOptions());
+    find_never_alone_violation(g);
+    EXPECT_EQ(walk_widths().int64, 2u) << g.to_string();
+    EXPECT_EQ(walk_widths().i128, 0u) << g.to_string();
   }
 }
 

@@ -190,6 +190,12 @@ TEST(Server, RejectsUnknownFlagsAndKinds) {
       {"submit sweep --miners=5 --coins=2 --trials=0", "--trials"},
       {"submit sweep --miners=5,0 --coins=2 --trials=2", "--miners"},
       {"submit sweep --miners=5 --coins=0,3 --trials=2", "--coins"},
+      {"submit batch --scenario=market-random --days=-1", "--days"},
+      {"submit batch --scenario=chain-reference --days=nan", "--days"},
+      {"submit batch --scenario=chain-reference --days=0", "--days"},
+      {"submit batch --scenario=market-fork --days=-0.5", "--days"},
+      {"submit batch --scenario=market-fork --days=inf", "--days"},
+      {"submit batch --scenario=market-random --days=-inf", "--days"},
   };
   for (const auto& [request, flag] : rejected) {
     const std::string reply = respond(server, request);
