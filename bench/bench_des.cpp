@@ -3,9 +3,10 @@
 /// simulators.
 ///
 /// The first table times three workloads on `sim::EventCore` (POD events,
-/// enum switch, generation invalidation in the core, per-chain member
-/// lists) and prints each run's trajectory hash, so a drift in the hot
-/// path shows up as a changed hash next to the committed baseline.
+/// enum switch, one pending-event slot per stream, per-chain member lists
+/// and prefix-sum winner lottery) and prints each run's trajectory hash, so
+/// a drift in the hot path shows up as a changed hash next to the committed
+/// baseline.
 ///
 /// The second table exercises layer 2: a Monte Carlo chain batch fanned
 /// across the thread pool, replayed on one lane — bit-identical aggregates
@@ -193,7 +194,7 @@ int run(int argc, char** argv) {
 
   bench::banner(
       "DES event core throughput (single lane)",
-      "sim::EventCore POD events + enum dispatch + per-chain member lists; "
+      "sim::EventCore POD events + enum dispatch + one slot per stream; "
       "the hash column is each run's trajectory hash.");
 
   Table table({"workload", "events", "wall_ms", "events/s", "hash"});

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "obs/registry.hpp"
 #include "util/assert.hpp"
 
 namespace goc::chain {
@@ -59,6 +60,8 @@ MultiChainSimulator::MultiChainSimulator(std::vector<double> miner_powers,
   for (std::size_t i = 0; i < powers_.size(); ++i) {
     members_[assignment_[i]].push_back(static_cast<std::uint32_t>(i));
   }
+  lottery_prefix_.resize(chains_.size());
+  lottery_stale_.assign(chains_.size(), 1);
   reward_per_power_.assign(chains_.size(), 0.0);
   stint_base_.assign(powers_.size(), 0.0);
   core_.declare_streams(sim::EventType::kBlockFound, chains_.size());
@@ -119,32 +122,35 @@ void MultiChainSimulator::on_block(std::size_t chain) {
   ++result_.events_dispatched;
   ++result_.blocks_per_chain[chain];
 
-  // Winner lottery ∝ power among the chain's miners, walked in ascending
-  // miner order. The proportional-split prediction the paper's model
-  // assumes accrues as one O(1) bump of the chain's reward-per-power
-  // integral (settled per stint).
+  // Winner lottery ∝ power among the chain's miners, in ascending miner
+  // order (see the file comment). The proportional-split prediction the
+  // paper's model assumes accrues as one O(1) bump of the chain's
+  // reward-per-power integral (settled per stint).
+  GOC_ASSERT(!members_[chain].empty(), "block found on a chain with no miners");
+  if (lottery_stale_[chain]) rebuild_lottery(chain);
   const double ticket = rng_.uniform01() * mass_[chain];
-  double acc = 0.0;
-  std::size_t winner = powers_.size();
   reward_per_power_[chain] += reward_fiat_[chain] / mass_[chain];
-  for (const std::uint32_t i : members_[chain]) {
-    acc += powers_[i];
-    if (ticket < acc) {
-      winner = i;
-      break;
-    }
-  }
-  if (winner == powers_.size() && !members_[chain].empty()) {
-    // Numeric edge (ticket == mass): award the last member.
-    winner = members_[chain].back();
-  }
-  GOC_ASSERT(winner < powers_.size(), "block found on a chain with no miners");
+  const std::uint32_t winner =
+      members_[chain][lottery_index(lottery_prefix_[chain], ticket)];
   result_.miner_rewards_fiat[winner] += reward_fiat_[chain];
   ++result_.miner_blocks[winner];
 
   difficulty_[chain] = spec.adjuster->on_block(core_.now(), difficulty_[chain]);
   GOC_ASSERT(difficulty_[chain] > 0.0, "DAA produced nonpositive difficulty");
   arm_block_race(chain);
+}
+
+void MultiChainSimulator::rebuild_lottery(std::size_t chain) {
+  const std::vector<std::uint32_t>& members = members_[chain];
+  std::vector<double>& prefix = lottery_prefix_[chain];
+  prefix.resize(members.size());
+  double acc = 0.0;
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    acc += powers_[members[k]];
+    prefix[k] = acc;
+  }
+  lottery_stale_[chain] = 0;
+  ++lottery_rebuilds_;
 }
 
 double MultiChainSimulator::expected_rpu_game(std::size_t miner,
@@ -174,8 +180,10 @@ void MultiChainSimulator::move_miner(std::size_t miner, std::size_t to_chain) {
   src.erase(std::lower_bound(src.begin(), src.end(), id));
   auto& dst = members_[to_chain];
   dst.insert(std::lower_bound(dst.begin(), dst.end(), id), id);
+  lottery_stale_[from] = 1;
+  lottery_stale_[to_chain] = 1;
   // Both races now run at the wrong rate; memorylessness makes a fresh
-  // exponential draw exact. The core drops the stale races at pop time.
+  // exponential draw exact. The core cancels the pending races.
   core_.invalidate(sim::EventType::kBlockFound,
                    static_cast<std::uint32_t>(from));
   core_.invalidate(sim::EventType::kBlockFound,
@@ -376,6 +384,12 @@ ChainSimResult MultiChainSimulator::run() {
         GOC_ASSERT(false, "unexpected event type in the chain simulator");
     }
   }
+
+  core_.flush_metrics();
+  static obs::Counter& rebuilds =
+      obs::Registry::instance().counter("chain.lottery.rebuilds");
+  rebuilds.add(lottery_rebuilds_);
+  lottery_rebuilds_ = 0;
 
   // Settle every miner's open stint into the prediction accumulator.
   for (std::size_t i = 0; i < powers_.size(); ++i) {

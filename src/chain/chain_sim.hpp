@@ -32,11 +32,23 @@
 ///    chain this produces the famous hashrate sawtooth.
 ///
 /// The simulator runs on `sim::EventCore` (POD events, enum-switch
-/// dispatch, generation invalidation in the core) and keeps a sorted member
-/// list per chain, so a block costs O(miners on that chain) instead of
-/// O(all miners). Its trajectories are pinned against values recorded from
-/// the retired callback-queue engine (`tests/test_sim.cpp`,
+/// dispatch, one pending block race per chain, cancelled in the core when
+/// miners migrate). Its trajectories are pinned against values recorded
+/// from the retired callback-queue engine (`tests/test_sim.cpp`,
 /// `PinnedTrajectories`) and by the `GOLDEN_chain.gocr` replay anchor.
+///
+/// **The winner lottery.** Each chain keeps its members in ascending miner
+/// order and, beside them, the running sums of their powers, added in that
+/// order. A block draws ticket = U·M_c and awards the member at index
+/// `lottery_index(prefix, ticket)`: the number of prefix sums ≤ ticket,
+/// which is the first member whose running sum exceeds the ticket — the
+/// member-order walk, without its data-dependent branch. When rounding
+/// leaves ticket ≥ every sum (M_c is maintained incrementally, the sums
+/// are not), the last member wins. A chain's sums are rebuilt lazily, on
+/// its first block after its membership changed: a decision epoch may move
+/// a miner many times between two blocks, and rebuilding per move would
+/// cost O(members) each time. `chain.lottery.rebuilds` counts the rebuilds,
+/// so it never exceeds the blocks found.
 
 namespace goc::chain {
 
@@ -98,6 +110,17 @@ struct ChainSimOptions {
 /// value must be positive.
 using RewardHook = std::function<double(std::size_t chain, double t_hours)>;
 
+/// The winner lottery's index rule: the number of entries of the
+/// nondecreasing running sums `prefix` that are ≤ `ticket`, capped at the
+/// last index (`prefix` must be non-empty). A branch-free count, equal to
+/// the first index whose sum exceeds the ticket.
+inline std::size_t lottery_index(const std::vector<double>& prefix,
+                                 double ticket) noexcept {
+  std::size_t below = 0;
+  for (const double sum : prefix) below += sum <= ticket;
+  return below < prefix.size() ? below : prefix.size() - 1;
+}
+
 struct TimelinePoint {
   double t_hours = 0.0;
   std::vector<double> difficulty;      ///< per chain
@@ -118,8 +141,8 @@ struct ChainSimResult {
   /// settled per stint); `sim::chain_result_hash` does not cover it.
   double share_prediction_mae = 0.0;
   std::uint64_t migrations = 0;  ///< total miner moves across the run
-  /// Live events dispatched (blocks + decision epochs; stale races are
-  /// skipped before dispatch). The throughput denominator of `bench_des`.
+  /// Events dispatched (blocks + decision epochs; cancelled races never
+  /// dispatch). The throughput denominator of `bench_des`.
   std::uint64_t events_dispatched = 0;
 };
 
@@ -143,6 +166,7 @@ class MultiChainSimulator {
   void decision_epoch();
   void decision_epoch_sharded();
   void move_miner(std::size_t miner, std::size_t to_chain);
+  void rebuild_lottery(std::size_t chain);
   double expected_rpu_game(std::size_t miner, std::size_t chain, bool joining) const;
 
   std::vector<double> powers_;
@@ -152,9 +176,13 @@ class MultiChainSimulator {
 
   sim::EventCore core_;
   std::vector<std::size_t> assignment_;     // miner -> chain
-  // Per-chain member lists, ascending miner index: the winner lottery walks
-  // only the chain's own miners, in miner order.
+  // Per-chain member lists, ascending miner index, and the running sums of
+  // their powers in that order (the winner lottery; see the file comment).
+  // lottery_stale_[c] marks sums that no longer match members_[c].
   std::vector<std::vector<std::uint32_t>> members_;
+  std::vector<std::vector<double>> lottery_prefix_;
+  std::vector<char> lottery_stale_;
+  std::uint64_t lottery_rebuilds_ = 0;      // flushed to obs by run()
   std::vector<double> mass_;                // per chain
   std::vector<double> difficulty_;          // per chain
   std::vector<double> reward_fiat_;         // per chain (hook-updated)

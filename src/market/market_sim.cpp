@@ -172,6 +172,7 @@ std::vector<EpochRecord> MarketSimulator::run() {
         GOC_ASSERT(false, "unexpected event type in the market simulator");
     }
   }
+  core.flush_metrics();
   return records;
 }
 

@@ -5,6 +5,7 @@
 #include <exception>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -162,6 +163,12 @@ JobTable::Work Server::make_batch_work(const Cli& cli) {
     const std::size_t miners = size_flag(cli, "miners", 48);
     const std::size_t coins = size_flag(cli, "coins", 3);
     const double days = days_flag(cli, 30.0);
+    // The scenario runs floor(days · 24) hourly epochs.
+    if (days * 24.0 < 1.0) {
+      throw std::invalid_argument(
+          "option --days must cover at least one hourly epoch (1/24 day) "
+          "for market-random");
+    }
     const std::uint64_t seed = options.root_seed;
     // market::Scenario is move-only (unique_ptr price processes), and a
     // JobTable::Work must be copyable — rebuild the prototype inside the
@@ -181,6 +188,13 @@ JobTable::Work Server::make_batch_work(const Cli& cli) {
     market::ForkFlipParams params;
     params.miners = size_flag(cli, "miners", params.miners);
     params.days = days_flag(cli, params.days);
+    if (params.days <= params.revert_day) {
+      std::ostringstream message;
+      message << "option --days must be greater than the scripted reversal "
+                 "day ("
+              << params.revert_day << ") for market-fork";
+      throw std::invalid_argument(message.str());
+    }
     params.seed = cli.get_u64("seed", params.seed);
     return [options, params](const engine::CancelView& cancel,
                              const JobTable::ProgressFn& progress) {

@@ -1,19 +1,21 @@
 #include "sim/event_core.hpp"
 
+#include <string>
+
 #include "obs/registry.hpp"
 
 namespace goc::sim {
 
 namespace {
 
-/// Per-event-type dispatch/invalidation counters, interned once. This is
-/// THE hottest seam in the repo (one `pop` per simulated event), so the
-/// cost budget is exactly one relaxed add per live pop and one per stale
-/// drop — handle lookup happens only at static init.
+/// Per-event-type dispatch/invalidation counters, interned once. The core
+/// gathers counts locally and adds them here in `flush_metrics`, so the
+/// per-event cost is a plain increment and no shared cache line is touched
+/// between flushes.
 struct EventMetrics {
   std::array<obs::Counter*, kNumEventTypes> dispatched;
   std::array<obs::Counter*, kNumEventTypes> invalidated;
-  obs::Counter& stale_dropped;
+  obs::Counter& stale_dropped;  ///< pending events cancelled by invalidate
 
   static EventMetrics& get() {
     static EventMetrics m = [] {
@@ -36,94 +38,50 @@ struct EventMetrics {
 }  // namespace
 
 void EventCore::declare_streams(EventType type, std::size_t count) {
-  auto& gens = generations_[static_cast<std::size_t>(type)];
-  gens.assign(count, 0);
-}
-
-void EventCore::schedule(double time, EventType type, std::uint32_t subject) {
-  GOC_CHECK_ARG(time >= now_, "cannot schedule events in the past");
-  const auto& gens = generations_[static_cast<std::size_t>(type)];
-  GOC_CHECK_ARG(subject < gens.size(), "undeclared event stream");
-  heap_.push_back(Event{time, next_seq_++, subject, gens[subject], type});
-  sift_up(heap_.size() - 1);
-}
-
-void EventCore::invalidate(EventType type, std::uint32_t subject) {
-  auto& gens = generations_[static_cast<std::size_t>(type)];
-  GOC_CHECK_ARG(subject < gens.size(), "undeclared event stream");
-  ++gens[subject];
-  EventMetrics::get().invalidated[static_cast<std::size_t>(type)]->add();
-}
-
-bool EventCore::pop(Event& out) {
-  EventMetrics& metrics = EventMetrics::get();
-  while (pop_raw(out)) {
-    if (is_stale(out)) {
-      metrics.stale_dropped.add();
-      continue;
+  stream_count_[static_cast<std::size_t>(type)] = count;
+  streams_.clear();
+  for (std::size_t t = 0; t < kNumEventTypes; ++t) {
+    stream_offset_[t] = streams_.size();
+    for (std::size_t s = 0; s < stream_count_[t]; ++s) {
+      streams_.push_back(
+          StreamId{static_cast<std::uint32_t>(s), static_cast<EventType>(t)});
     }
-    now_ = out.time;
-    metrics.dispatched[static_cast<std::size_t>(out.type)]->add();
-    return true;
   }
-  return false;
-}
-
-bool EventCore::pop_until(Event& out, double t_end) {
-  GOC_CHECK_ARG(t_end >= now_, "cannot run backwards");
-  EventMetrics& metrics = EventMetrics::get();
-  while (!heap_.empty() && heap_.front().time <= t_end) {
-    pop_raw(out);
-    if (is_stale(out)) {
-      metrics.stale_dropped.add();
-      continue;  // dropped inside the window
-    }
-    now_ = out.time;
-    metrics.dispatched[static_cast<std::size_t>(out.type)]->add();
-    return true;
+  block_shift_ = 0;
+  while ((std::size_t{1} << (2 * block_shift_)) < streams_.size()) {
+    ++block_shift_;
   }
-  now_ = t_end;
-  return false;
+  const std::size_t block_size = std::size_t{1} << block_shift_;
+  const std::size_t blocks = (streams_.size() + block_size - 1) / block_size;
+  slots_.assign(blocks * block_size, kEmpty);
+  block_least_.assign(blocks, kEmpty);
+  block_at_.assign(blocks, 0);
+  pending_ = 0;
 }
 
 void EventCore::reset(double now) {
-  heap_.clear();
-  now_ = now;
+  GOC_CHECK_ARG(now >= 0.0, "event times are never negative");
+  slots_.assign(slots_.size(), kEmpty);
+  block_least_.assign(block_least_.size(), kEmpty);
+  pending_ = 0;
+  now_ = now + 0.0;
   next_seq_ = 0;
 }
 
-void EventCore::sift_up(std::size_t i) noexcept {
-  Event moving = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!earlier(moving, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
+void EventCore::flush_metrics() noexcept {
+  EventMetrics& metrics = EventMetrics::get();
+  for (std::size_t t = 0; t < kNumEventTypes; ++t) {
+    if (unflushed_.dispatched[t] != 0) {
+      metrics.dispatched[t]->add(unflushed_.dispatched[t]);
+    }
+    if (unflushed_.invalidated[t] != 0) {
+      metrics.invalidated[t]->add(unflushed_.invalidated[t]);
+    }
   }
-  heap_[i] = moving;
-}
-
-void EventCore::sift_down(std::size_t i) noexcept {
-  const std::size_t n = heap_.size();
-  Event moving = heap_[i];
-  while (true) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
-    if (!earlier(heap_[child], moving)) break;
-    heap_[i] = heap_[child];
-    i = child;
+  if (unflushed_.cancelled != 0) {
+    metrics.stale_dropped.add(unflushed_.cancelled);
   }
-  heap_[i] = moving;
-}
-
-bool EventCore::pop_raw(Event& out) noexcept {
-  if (heap_.empty()) return false;
-  out = heap_.front();
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-  return true;
+  unflushed_ = Counts{};
 }
 
 }  // namespace goc::sim

@@ -5,11 +5,6 @@
 #include "util/int128.hpp"
 
 namespace goc {
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
@@ -24,18 +19,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   // xoshiro's state must not be all zero; splitmix64 never yields four
   // consecutive zeros, but keep the guard explicit and cheap.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
@@ -62,21 +45,8 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
                                    next_below(span + 1));
 }
 
-double Rng::uniform01() noexcept {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) noexcept {
   return lo + (hi - lo) * uniform01();
-}
-
-bool Rng::bernoulli(double p) noexcept { return uniform01() < p; }
-
-double Rng::exponential(double rate) noexcept {
-  GOC_DASSERT(rate > 0, "exponential rate must be positive");
-  double u = uniform01();
-  if (u <= 0.0) u = 0x1.0p-53;  // avoid log(0)
-  return -std::log(u) / rate;
 }
 
 double Rng::normal() noexcept {
@@ -94,13 +64,6 @@ double Rng::normal() noexcept {
 
 double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
-}
-
-double Rng::pareto(double scale, double shape) noexcept {
-  GOC_DASSERT(scale > 0 && shape > 0, "pareto parameters must be positive");
-  double u = uniform01();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return scale / std::pow(u, 1.0 / shape);
 }
 
 std::uint64_t Rng::zipf(std::uint64_t n, double s) noexcept {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -14,6 +16,11 @@
 /// `<random>` so that a given seed reproduces the same experiment on every
 /// platform and standard library — benchmark tables in EXPERIMENTS.md cite
 /// seeds and must be regenerable.
+///
+/// The draws the simulators make once per event (`next`, `uniform01`,
+/// `exponential`, `pareto`, `bernoulli`) are defined inline here, so a block
+/// race or fee accrual does not pay a call per draw. `Rng.KnownAnswerDraws`
+/// (tests/test_util.cpp) pins their bit patterns.
 
 namespace goc {
 
@@ -33,7 +40,17 @@ class Rng {
   result_type operator()() noexcept { return next(); }
 
   /// Next raw 64-bit value.
-  std::uint64_t next() noexcept;
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound) without modulo bias (Lemire's method).
   /// `bound` must be positive.
@@ -43,23 +60,35 @@ class Rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
 
   /// Uniform double in [0, 1) with 53 bits of randomness.
-  double uniform01() noexcept;
+  double uniform01() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) noexcept;
 
   /// Bernoulli trial with probability p (clamped to [0,1]).
-  bool bernoulli(double p) noexcept;
+  bool bernoulli(double p) noexcept { return uniform01() < p; }
 
   /// Exponential with the given rate (mean 1/rate); rate must be positive.
-  double exponential(double rate) noexcept;
+  double exponential(double rate) noexcept {
+    GOC_DASSERT(rate > 0, "exponential rate must be positive");
+    double u = uniform01();
+    if (u <= 0.0) u = 0x1.0p-53;  // avoid log(0)
+    return -std::log(u) / rate;
+  }
 
   /// Standard normal via the polar (Marsaglia) method.
   double normal() noexcept;
   double normal(double mean, double stddev) noexcept;
 
   /// Pareto with scale x_m > 0 and shape alpha > 0.
-  double pareto(double scale, double shape) noexcept;
+  double pareto(double scale, double shape) noexcept {
+    GOC_DASSERT(scale > 0 && shape > 0, "pareto parameters must be positive");
+    double u = uniform01();
+    if (u <= 0.0) u = 0x1.0p-53;
+    return scale / std::pow(u, 1.0 / shape);
+  }
 
   /// Zipf-distributed rank in [1, n] with exponent `s >= 0` by inverse
   /// transform over the exact CDF (O(log n) per draw after O(n) setup is

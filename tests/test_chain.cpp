@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <vector>
 
 #include "chain/chain_sim.hpp"
 #include "chain/difficulty.hpp"
+#include "obs/registry.hpp"
+#include "util/rng.hpp"
 
 namespace goc::chain {
 namespace {
@@ -237,6 +242,101 @@ TEST(ChainSim, ValidatesInput) {
   chains3.push_back(make_chain("c", 600.0, 10.0));
   EXPECT_THROW(MultiChainSimulator({1.0}, std::move(chains3), opts, {5}),
                std::invalid_argument);
+}
+
+// ------------------------------------------------------------ winner lottery
+
+/// The member-order walk that `lottery_index` replaced: the first member
+/// whose running power sum exceeds the ticket, the last when none does.
+std::size_t walked_winner(const std::vector<double>& powers, double ticket) {
+  double acc = 0.0;
+  for (std::size_t k = 0; k < powers.size(); ++k) {
+    acc += powers[k];
+    if (ticket < acc) return k;
+  }
+  return powers.size() - 1;
+}
+
+std::vector<double> running_sums(const std::vector<double>& powers) {
+  std::vector<double> sums(powers.size());
+  std::partial_sum(powers.begin(), powers.end(), sums.begin());
+  return sums;
+}
+
+TEST(Lottery, IndexIsTheCountOfSumsAtOrBelowTheTicket) {
+  const std::vector<double> prefix = {1.0, 3.0, 6.0};
+  EXPECT_EQ(lottery_index(prefix, 0.0), 0u);
+  EXPECT_EQ(lottery_index(prefix, 0.5), 0u);
+  EXPECT_EQ(lottery_index(prefix, 1.0), 1u);  // a sum equal to the ticket
+  EXPECT_EQ(lottery_index(prefix, 5.9), 2u);
+  EXPECT_EQ(lottery_index(prefix, 6.0), 2u);  // ticket ≥ mass: last member
+  EXPECT_EQ(lottery_index(prefix, 100.0), 2u);
+  EXPECT_EQ(lottery_index({4.0}, 9.0), 0u);
+}
+
+TEST(Lottery, PrefixCountMatchesTheMemberOrderWalk) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(77);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 1 + rng.next_below(40);
+    std::vector<double> powers(n);
+    for (double& m : powers) {
+      // Small integers make sums collide with tickets exactly.
+      m = trial % 2 == 0 ? static_cast<double>(1 + rng.next_below(5))
+                         : rng.pareto(0.5, 1.2);
+    }
+    const std::vector<double> prefix = running_sums(powers);
+    const double mass = prefix.back();
+    std::vector<double> tickets = {0.0, mass, std::nextafter(mass, 0.0),
+                                   std::nextafter(mass, kInf), 2.0 * mass};
+    for (const double sum : prefix) {
+      tickets.push_back(sum);
+      tickets.push_back(std::nextafter(sum, 0.0));
+      tickets.push_back(std::nextafter(sum, kInf));
+    }
+    for (int k = 0; k < 20; ++k) tickets.push_back(rng.uniform01() * mass);
+    for (const double ticket : tickets) {
+      EXPECT_EQ(lottery_index(prefix, ticket), walked_winner(powers, ticket))
+          << "trial " << trial << " ticket " << ticket;
+    }
+  }
+}
+
+TEST(ChainSim, LotteryRebuildsAtMostOncePerBlock) {
+  // The rewards swap between the chains every epoch and every miner
+  // re-evaluates, so the whole population migrates back and forth many
+  // times between two blocks. Lazy rebuilds stay within the blocks found;
+  // rebuilding on every move would cost two per migration.
+  if (!obs::enabled()) GTEST_SKIP() << "metrics are off";
+  constexpr double kEpoch = 0.05;
+  std::vector<ChainSpec> chains;
+  chains.push_back(make_chain("a", 60.0, 20.0));
+  chains.push_back(make_chain("b", 60.0, 20.0));
+  ChainSimOptions opts;
+  opts.duration_hours = 24.0 * 5;
+  opts.decision_interval_hours = kEpoch;
+  opts.policy = MinerPolicy::kBetterResponse;
+  opts.reevaluation_fraction = 1.0;
+  opts.record_timeline = false;
+  opts.seed = 9;
+  MultiChainSimulator sim(std::vector<double>(12, 10.0), std::move(chains),
+                          opts);
+  sim.set_reward_hook([kEpoch](std::size_t chain, double t_hours) {
+    const auto epoch = static_cast<long>(std::floor(t_hours / kEpoch + 0.5));
+    return (chain == 0) == (epoch % 2 == 0) ? 100.0 : 1.0;
+  });
+  obs::Counter& rebuilds =
+      obs::Registry::instance().counter("chain.lottery.rebuilds");
+  const std::uint64_t before = rebuilds.total();
+  const ChainSimResult result = sim.run();
+  const std::uint64_t rebuilt = rebuilds.total() - before;
+  const std::uint64_t blocks = std::accumulate(
+      result.blocks_per_chain.begin(), result.blocks_per_chain.end(),
+      std::uint64_t{0});
+  ASSERT_GT(blocks, 0u);
+  EXPECT_GT(result.migrations, 2 * blocks);  // eager rebuilds would exceed
+  EXPECT_GT(rebuilt, 0u);
+  EXPECT_LE(rebuilt, blocks);
 }
 
 }  // namespace

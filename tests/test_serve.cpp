@@ -196,6 +196,11 @@ TEST(Server, RejectsUnknownFlagsAndKinds) {
       {"submit batch --scenario=market-fork --days=-0.5", "--days"},
       {"submit batch --scenario=market-fork --days=inf", "--days"},
       {"submit batch --scenario=market-random --days=-inf", "--days"},
+      // Horizons that are finite and positive but cannot work: the fork
+      // reverses on day 15, and market-random runs hourly epochs.
+      {"submit batch --scenario=market-fork --days=10", "--days"},
+      {"submit batch --scenario=market-fork --days=15", "--days"},
+      {"submit batch --scenario=market-random --days=0.01", "--days"},
   };
   for (const auto& [request, flag] : rejected) {
     const std::string reply = respond(server, request);
@@ -203,6 +208,24 @@ TEST(Server, RejectsUnknownFlagsAndKinds) {
     EXPECT_NE(reply.find(flag), std::string::npos) << request << " -> " << reply;
   }
   EXPECT_EQ(server.jobs().size(), 0u);
+}
+
+TEST(Server, AcceptsTheShortestWorkableMarketHorizons) {
+  // Just past the limits the refusals above enforce: one hourly epoch for
+  // market-random, half a day past the reversal for market-fork.
+  Server server(ServerOptions{2});
+  EXPECT_EQ(respond(server,
+                    "submit batch --scenario=market-random --miners=4 "
+                    "--days=0.05 --replicas=1"),
+            "ok id=1 kind=batch\n");
+  EXPECT_EQ(respond(server,
+                    "submit batch --scenario=market-fork --miners=4 "
+                    "--days=15.5 --replicas=1"),
+            "ok id=2 kind=batch\n");
+  EXPECT_NE(respond(server, "result 1 --wait").find("state=done"),
+            std::string::npos);
+  EXPECT_NE(respond(server, "result 2 --wait").find("state=done"),
+            std::string::npos);
 }
 
 /// The acceptance criterion: a daemon-submitted trajectory batch produces

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -19,8 +21,10 @@
 #include "market/fig1_replay.hpp"
 #include "market/market_sim.hpp"
 #include "market/scenario.hpp"
+#include "obs/registry.hpp"
 #include "sim/event_core.hpp"
 #include "sim/trajectory.hpp"
+#include "util/rng.hpp"
 
 // ------------------------------------------- allocation-counting operator new
 // Counts every heap allocation in the binary so the zero-allocation claim of
@@ -85,15 +89,18 @@ TEST(EventCore, FifoTieBreakAcrossTypes) {
 
 TEST(EventCore, PopUntilStopsAndAdvancesClock) {
   EventCore core;
-  core.declare_streams(EventType::kBlockFound, 1);
+  core.declare_streams(EventType::kBlockFound, 2);
   core.schedule(1.0, EventType::kBlockFound, 0);
-  core.schedule(5.0, EventType::kBlockFound, 0);
+  core.schedule(5.0, EventType::kBlockFound, 1);
   Event event;
   EXPECT_TRUE(core.pop_until(event, 2.0));
   EXPECT_DOUBLE_EQ(event.time, 1.0);
   EXPECT_FALSE(core.pop_until(event, 2.0));
   EXPECT_DOUBLE_EQ(core.now(), 2.0);
   EXPECT_EQ(core.pending(), 1u);
+  EXPECT_TRUE(core.pop_until(event, 5.0));  // the bound is inclusive
+  EXPECT_EQ(event.subject, 1u);
+  EXPECT_DOUBLE_EQ(core.now(), 5.0);
 }
 
 TEST(EventCore, InvalidationDropsStaleEvents) {
@@ -102,7 +109,7 @@ TEST(EventCore, InvalidationDropsStaleEvents) {
   core.schedule(1.0, EventType::kBlockFound, 0);
   core.schedule(2.0, EventType::kBlockFound, 1);
   core.invalidate(EventType::kBlockFound, 0);
-  core.schedule(3.0, EventType::kBlockFound, 0);  // new generation: live
+  core.schedule(3.0, EventType::kBlockFound, 0);  // the slot is free again
   Event event;
   std::vector<double> times;
   while (core.pop(event)) times.push_back(event.time);
@@ -123,19 +130,216 @@ TEST(EventCore, InvalidationIsPerStream) {
   EXPECT_EQ(event.type, EventType::kDecisionEpoch);
 }
 
-TEST(EventCore, ResetReusesCapacity) {
+TEST(EventCore, ResetRewindsClockAndSequence) {
   EventCore core;
-  core.declare_streams(EventType::kBlockFound, 1);
-  for (int i = 0; i < 100; ++i) {
-    core.schedule(static_cast<double>(i + 1), EventType::kBlockFound, 0);
+  core.declare_streams(EventType::kBlockFound, 3);
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    core.schedule(static_cast<double>(c + 1), EventType::kBlockFound, c);
   }
+  Event event;
+  ASSERT_TRUE(core.pop(event));
   core.reset();
   EXPECT_TRUE(core.empty());
   EXPECT_DOUBLE_EQ(core.now(), 0.0);
-  core.schedule(1.0, EventType::kBlockFound, 0);
-  Event event;
+  // Every slot was emptied, so each stream takes a new event.
+  core.schedule(2.0, EventType::kBlockFound, 1);
+  core.schedule(2.0, EventType::kBlockFound, 2);
   ASSERT_TRUE(core.pop(event));
   EXPECT_EQ(event.seq, 0u);  // sequence counter rewound too
+  EXPECT_EQ(event.subject, 1u);
+  EXPECT_THROW(core.reset(-1.0), std::invalid_argument);
+}
+
+TEST(EventCore, ScheduleOnABusyStreamThrows) {
+  EventCore core;
+  core.declare_streams(EventType::kBlockFound, 2);
+  core.schedule(1.0, EventType::kBlockFound, 0);
+  EXPECT_THROW(core.schedule(2.0, EventType::kBlockFound, 0),
+               std::invalid_argument);
+  EXPECT_EQ(core.pending(), 1u);
+  core.schedule(2.0, EventType::kBlockFound, 1);  // another stream is free
+  Event event;
+  ASSERT_TRUE(core.pop(event));
+  EXPECT_DOUBLE_EQ(event.time, 1.0);
+  core.schedule(3.0, EventType::kBlockFound, 0);  // free again once popped
+  EXPECT_EQ(core.pending(), 2u);
+}
+
+TEST(EventCore, InvalidateCancelsThePendingEvent) {
+  auto& registry = obs::Registry::instance();
+  obs::Counter& cancelled = registry.counter("sim.events.stale_dropped");
+  obs::Counter& invalidated =
+      registry.counter("sim.events.invalidated.block_found");
+  const std::uint64_t cancelled_before = cancelled.total();
+  const std::uint64_t invalidated_before = invalidated.total();
+
+  EventCore core;
+  core.declare_streams(EventType::kBlockFound, 2);
+  core.schedule(1.0, EventType::kBlockFound, 0);
+  core.schedule(2.0, EventType::kBlockFound, 1);
+  core.invalidate(EventType::kBlockFound, 0);
+  EXPECT_EQ(core.pending(), 1u);
+  core.invalidate(EventType::kBlockFound, 0);  // nothing left to cancel
+  EXPECT_EQ(core.pending(), 1u);
+  core.schedule(1.5, EventType::kBlockFound, 0);  // the slot is free
+  Event event;
+  ASSERT_TRUE(core.pop(event));
+  EXPECT_EQ(event.subject, 0u);
+  EXPECT_DOUBLE_EQ(event.time, 1.5);
+  EXPECT_EQ(event.seq, 2u);
+  ASSERT_TRUE(core.pop(event));
+  EXPECT_EQ(event.subject, 1u);
+  EXPECT_FALSE(core.pop(event));
+
+  core.flush_metrics();
+  if (obs::enabled()) {
+    EXPECT_EQ(cancelled.total() - cancelled_before, 1u);
+    EXPECT_EQ(invalidated.total() - invalidated_before, 2u);
+  }
+}
+
+// ------------------------------------------------- EventCore vs a binary heap
+// The reference: the generation-stamped binary heap the core replaced. Each
+// schedule pushes a (time, seq) entry stamped with its stream's generation;
+// invalidate bumps the generation, and pops skip entries whose stamp is
+// stale. It knows nothing of slots, so it checks the one-slot core's pop
+// order, clock and pending count independently.
+class ReferenceEventHeap {
+ public:
+  explicit ReferenceEventHeap(
+      const std::array<std::size_t, kNumEventTypes>& counts) {
+    for (std::size_t t = 0; t < kNumEventTypes; ++t) {
+      generation_[t].assign(counts[t], 0);
+      busy_[t].assign(counts[t], false);
+    }
+  }
+
+  bool busy(EventType type, std::uint32_t subject) const {
+    return busy_[static_cast<std::size_t>(type)][subject];
+  }
+
+  void schedule(double time, EventType type, std::uint32_t subject) {
+    const auto t = static_cast<std::size_t>(type);
+    heap_.push_back(
+        Entry{time, next_seq_++, subject, generation_[t][subject], type});
+    std::push_heap(heap_.begin(), heap_.end(), later);
+    busy_[t][subject] = true;
+    ++live_;
+  }
+
+  void invalidate(EventType type, std::uint32_t subject) {
+    const auto t = static_cast<std::size_t>(type);
+    ++generation_[t][subject];
+    if (busy_[t][subject]) --live_;
+    busy_[t][subject] = false;
+  }
+
+  bool pop_until(Event& out, double t_end) {
+    while (!heap_.empty()) {
+      const Entry top = heap_.front();
+      const auto t = static_cast<std::size_t>(top.type);
+      if (top.generation != generation_[t][top.subject]) {
+        std::pop_heap(heap_.begin(), heap_.end(), later);
+        heap_.pop_back();
+        continue;
+      }
+      if (top.time > t_end) break;
+      std::pop_heap(heap_.begin(), heap_.end(), later);
+      heap_.pop_back();
+      busy_[t][top.subject] = false;
+      --live_;
+      now_ = top.time;
+      out = Event{top.time, top.seq, top.subject, top.type};
+      return true;
+    }
+    now_ = std::max(now_, t_end);
+    return false;
+  }
+
+  double now() const { return now_; }
+  std::size_t pending() const { return live_; }
+
+ private:
+  struct Entry {
+    double time;
+    std::uint64_t seq;
+    std::uint32_t subject;
+    std::uint32_t generation;
+    EventType type;
+  };
+  static bool later(const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+
+  std::vector<Entry> heap_;
+  std::array<std::vector<std::uint32_t>, kNumEventTypes> generation_;
+  std::array<std::vector<bool>, kNumEventTypes> busy_;
+  std::size_t live_ = 0;
+  double now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+};
+
+TEST(EventCore, MatchesAReferenceHeapOnRandomOperations) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    // Stream counts from one to a few hundred, so the core's blocks range
+    // from one to many.
+    std::array<std::size_t, kNumEventTypes> counts{};
+    counts[0] = 1 + rng.next_below(seed % 4 == 0 ? 300 : 12);
+    counts[1] = 1;
+    counts[2] = rng.next_below(4);
+    counts[3] = rng.next_below(4);
+    EventCore core;
+    for (std::size_t t = 0; t < kNumEventTypes; ++t) {
+      core.declare_streams(static_cast<EventType>(t), counts[t]);
+    }
+    ReferenceEventHeap reference(counts);
+
+    const auto random_stream = [&] {
+      std::size_t t = rng.next_below(kNumEventTypes);
+      while (counts[t] == 0) t = rng.next_below(kNumEventTypes);
+      return std::pair{static_cast<EventType>(t),
+                       static_cast<std::uint32_t>(rng.next_below(counts[t]))};
+    };
+    Event got;
+    Event want;
+    for (int op = 0; op < 3000; ++op) {
+      const std::uint64_t kind = rng.next_below(10);
+      if (kind < 5) {
+        // Quarter-hour offsets make equal times common: FIFO must hold.
+        const auto [type, subject] = random_stream();
+        const double time =
+            core.now() + 0.25 * static_cast<double>(rng.next_below(9));
+        if (reference.busy(type, subject)) {
+          EXPECT_THROW(core.schedule(time, type, subject),
+                       std::invalid_argument);
+        } else {
+          core.schedule(time, type, subject);
+          reference.schedule(time, type, subject);
+        }
+      } else if (kind < 7) {
+        const auto [type, subject] = random_stream();
+        core.invalidate(type, subject);
+        reference.invalidate(type, subject);
+      } else {
+        const double t_end = kind == 9 ? core.now() + 100.0
+                                       : core.now() + rng.uniform(0.0, 1.0);
+        const bool popped = core.pop_until(got, t_end);
+        ASSERT_EQ(popped, reference.pop_until(want, t_end))
+            << "seed " << seed << " op " << op;
+        if (popped) {
+          EXPECT_EQ(got.time, want.time);
+          EXPECT_EQ(got.seq, want.seq);
+          EXPECT_EQ(got.type, want.type);
+          EXPECT_EQ(got.subject, want.subject);
+        }
+      }
+      ASSERT_EQ(core.now(), reference.now()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(core.pending(), reference.pending())
+          << "seed " << seed << " op " << op;
+    }
+  }
 }
 
 TEST(EventCore, RejectsPastAndUndeclaredStreams) {
@@ -211,6 +415,33 @@ chain::ChainSimResult run_chain(chain::ChainSimOptions options,
                                 bool eda = false) {
   chain::MultiChainSimulator sim = build_chain_sim(options, eda);
   return sim.run();
+}
+
+/// Sum of the `sim.events.dispatched.*` counters.
+std::uint64_t dispatched_total() {
+  std::uint64_t total = 0;
+  for (const char* type :
+       {"block_found", "decision_epoch", "price_tick", "fee_update"}) {
+    total += obs::Registry::instance()
+                 .counter(std::string("sim.events.dispatched.") + type)
+                 .total();
+  }
+  return total;
+}
+
+TEST(ChainFlat, DispatchCountersAreExactWhenRunReturns) {
+  // The core gathers dispatch counts locally and flushes them every 4096
+  // events; run() flushes the rest, so the registry delta is exact.
+  if (!obs::enabled()) GTEST_SKIP() << "metrics are off";
+  chain::ChainSimOptions options;
+  options.duration_hours = 24.0 * 200;
+  options.reevaluation_fraction = 0.5;
+  options.seed = 12;
+  chain::MultiChainSimulator sim = build_chain_sim(options);
+  const std::uint64_t before = dispatched_total();
+  const chain::ChainSimResult result = sim.run();
+  EXPECT_GT(result.events_dispatched, 4096u);  // crosses a periodic flush
+  EXPECT_EQ(dispatched_total() - before, result.events_dispatched);
 }
 
 // ----------------------------------------------------------- market runs

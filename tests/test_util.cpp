@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -47,6 +50,41 @@ TEST(Int128, CheckedOpsThrowOnOverflow) {
 TEST(Rng, DeterministicForFixedSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
+}
+
+// The exact bit patterns of the first draws of each distribution at a
+// fixed seed. Every recorded trajectory hash depends on these; a change in
+// the operations or their order (say, when moving a draw between the header
+// and rng.cpp) fails here and names the draw.
+template <typename Draw>
+std::array<std::uint64_t, 4> first_four_bits(Draw draw) {
+  Rng rng(2021);
+  std::array<std::uint64_t, 4> bits{};
+  for (auto& b : bits) b = std::bit_cast<std::uint64_t>(draw(rng));
+  return bits;
+}
+
+TEST(Rng, KnownAnswerDraws) {
+  using Bits = std::array<std::uint64_t, 4>;
+  EXPECT_EQ(first_four_bits([](Rng& r) { return r.next(); }),
+            (Bits{0xF61612C2FF4D9BC1ULL, 0x584F61AB0B9A78B4ULL,
+                  0x8153A8240F70A3E2ULL, 0xF7825DE81809F5F1ULL}));
+  EXPECT_EQ(first_four_bits([](Rng& r) { return r.uniform01(); }),
+            (Bits{0x3FEEC2C2585FE9B3ULL, 0x3FD613D86AC2E69EULL,
+                  0x3FE02A750481EE14ULL, 0x3FEEF04BBD03013EULL}));
+  EXPECT_EQ(first_four_bits([](Rng& r) { return r.exponential(3.5); }),
+            (Bits{0x3F871C49174496A1ULL, 0x3FD3763FA8DD719EULL,
+                  0x3FC8F8E58B4A4341ULL, 0x3F83BC908D4E4D57ULL}));
+  EXPECT_EQ(first_four_bits([](Rng& r) { return r.pareto(50.0, 1.16); }),
+            (Bits{0x4049DDA8791BE1F5ULL, 0x405F49D6FC3C78BBULL,
+                  0x405684FAE6A12B0AULL, 0x4049BCD367238D24ULL}));
+  EXPECT_EQ(first_four_bits([](Rng& r) { return r.normal(); }),
+            (Bits{0x3FD3F92245348AE6ULL, 0x3F77D08E73BF96DDULL,
+                  0x3FE392AA215193C8ULL, 0xC00489957641510BULL}));
+  Rng rng(2021);
+  std::string coins;
+  for (int i = 0; i < 32; ++i) coins += rng.bernoulli(0.5) ? '1' : '0';
+  EXPECT_EQ(coins, "01000011010001100011111101100111");
 }
 
 TEST(Rng, DifferentSeedsDiffer) {

@@ -6,14 +6,16 @@ Run from the directory holding this run's bench JSON (the bench binaries'
 
     python3 tools/check_baselines.py [--baselines bench/baselines] [FILE ...]
 
-FILE defaults to BENCH_enumeration.json and BENCH_convergence.json. Each
-file is compared with the file of the same name under --baselines: title,
-headers, row count and every cell of every non-timing column must be equal
-as text. Timing columns and fields are skipped: names ending in `_ms`,
-`ms_mean`, `ms`, `speedup`, `steps_per_sec`, `ns_per_op`, and any field
-naming RSS or wall time. What is left (configuration counts, games, steps,
-hashes, the `identical` verdicts) does not depend on the machine, so any
-difference is a change in what the code computes.
+FILE defaults to BENCH_enumeration.json, BENCH_convergence.json,
+BENCH_des.json and BENCH_des.batch.json. Each file is compared with the
+file of the same name under --baselines: title, headers, row count and
+every cell of every non-timing column must be equal as text. Timing columns
+and fields are skipped: names ending in `_ms`, `ms_mean`, `ms`, `speedup`,
+`steps_per_sec`, `ns_per_op`, `events/s`, and any field naming RSS or wall
+time. What is left (configuration counts, games, steps, event counts,
+trajectory hashes, batch aggregates, the `identical` verdicts) does not
+depend on the machine, so any difference is a change in what the code
+computes.
 
 Prints one line per difference and exits 1 if there is any (2 if a file is
 missing). It only reports; it never rewrites a baseline.
@@ -24,8 +26,10 @@ import json
 import sys
 from pathlib import Path
 
-DEFAULT_FILES = ["BENCH_enumeration.json", "BENCH_convergence.json"]
-TIMING_NAMES = {"ms", "ms_mean", "speedup", "steps_per_sec", "ns_per_op"}
+DEFAULT_FILES = ["BENCH_enumeration.json", "BENCH_convergence.json",
+                 "BENCH_des.json", "BENCH_des.batch.json"]
+TIMING_NAMES = {"ms", "ms_mean", "speedup", "steps_per_sec", "ns_per_op",
+                "events/s"}
 
 
 def is_timing(name):
