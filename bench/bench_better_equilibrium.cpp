@@ -16,6 +16,7 @@
 #include "equilibrium/better_equilibrium.hpp"
 #include "equilibrium/enumerate.hpp"
 #include "equilibrium/welfare.hpp"
+#include "oracle/oracle.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -33,7 +34,7 @@ int run(int argc, char** argv) {
       "Exhaustive equilibrium enumeration on random small games; assumption "
       "checks are exact (never-alone over all configurations, genericity "
       "over all subset sums). Exhaustive walks run on the enumeration "
-      "engine (--threads; --compare-scan replays them on the legacy "
+      "engine (--threads; --compare-scan replays them on the oracle "
       "walker and asserts identical results while timing both).");
 
   // The engine's exhaustive walks share one pool across all games.
@@ -83,7 +84,8 @@ int run(int argc, char** argv) {
       engine_ms += split.elapsed_ms();
       if (compare_scan) {
         split.restart();
-        const bool scan_violated = find_never_alone_violation_scan(game).has_value();
+        const bool scan_violated =
+            oracle::find_never_alone_violation_scan(game).has_value();
         scan_ms += split.elapsed_ms();
         identical = identical && scan_violated == never_alone_violated;
       }
@@ -96,7 +98,7 @@ int run(int argc, char** argv) {
       engine_ms += split.elapsed_ms();
       if (compare_scan) {
         split.restart();
-        const auto scan_eqs = enumerate_equilibria_scan(game);
+        const auto scan_eqs = oracle::enumerate_equilibria_scan(game);
         scan_ms += split.elapsed_ms();
         identical = identical && scan_eqs == eqs;
       }
@@ -140,7 +142,7 @@ int run(int argc, char** argv) {
   std::cout << "[exhaustive walks on the enumeration engine: "
             << fmt_double(engine_ms, 1) << " ms]\n";
   if (compare_scan) {
-    std::cout << "[legacy scan replay: " << fmt_double(scan_ms, 1) << " ms => "
+    std::cout << "[oracle scan replay: " << fmt_double(scan_ms, 1) << " ms => "
               << fmt_double(scan_ms / engine_ms, 1) << "x, results "
               << (identical ? "identical" : "MISMATCH") << "]\n";
     return identical ? 0 : 1;

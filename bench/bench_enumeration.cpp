@@ -1,8 +1,8 @@
 /// \file bench_enumeration.cpp
 /// The enumeration-engine headline: old vs new on every exhaustive path.
 ///
-/// The legacy walker visits all |C|^n configurations through a
-/// `std::function` callback and re-verifies each candidate with full
+/// The oracle walker (tests/oracle) visits all |C|^n configurations
+/// through a `std::function` callback and re-verifies each candidate with full
 /// O(n·|C|) exact-Rational payoff scans. The engine (core/enumerate.hpp)
 /// walks canonical representatives with a templated incremental odometer,
 /// checks equilibria with integer cross-multiplications (int64 under the
@@ -25,6 +25,7 @@
 #include "engine/thread_pool.hpp"
 #include "equilibrium/assumptions.hpp"
 #include "equilibrium/enumerate.hpp"
+#include "oracle/oracle.hpp"
 #include "potential/exact_potential.hpp"
 
 namespace {
@@ -111,7 +112,9 @@ int run(int argc, char** argv) {
 
     bench::Stopwatch watch;
     std::vector<std::vector<Configuration>> scan_sets;
-    for (const Game& g : games) scan_sets.push_back(enumerate_equilibria_scan(g));
+    for (const Game& g : games) {
+      scan_sets.push_back(oracle::enumerate_equilibria_scan(g));
+    }
     const double scan_ms = watch.elapsed_ms();
 
     watch.restart();
@@ -154,7 +157,8 @@ int run(int argc, char** argv) {
     bench::Stopwatch watch;
     std::vector<bool> scan_verdicts;
     for (const Game& g : games) {
-      scan_verdicts.push_back(find_never_alone_violation_scan(g).has_value());
+      scan_verdicts.push_back(
+          oracle::find_never_alone_violation_scan(g).has_value());
     }
     const double scan_ms = watch.elapsed_ms();
 
@@ -188,7 +192,7 @@ int run(int argc, char** argv) {
     bench::Stopwatch watch;
     std::vector<std::uint64_t> scan_counts;
     for (const Game& g : games) {
-      scan_counts.push_back(enumerate_equilibria_scan(g).size());
+      scan_counts.push_back(oracle::enumerate_equilibria_scan(g).size());
     }
     const double scan_ms = watch.elapsed_ms();
 
@@ -225,7 +229,9 @@ int run(int argc, char** argv) {
 
     bench::Stopwatch watch;
     std::vector<bool> scan_verdicts;
-    for (const Game& g : games) scan_verdicts.push_back(has_exact_potential_scan(g));
+    for (const Game& g : games) {
+      scan_verdicts.push_back(oracle::has_exact_potential_scan(g));
+    }
     const double scan_ms = watch.elapsed_ms();
 
     watch.restart();

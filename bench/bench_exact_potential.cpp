@@ -17,6 +17,7 @@
 #include "core/generators.hpp"
 #include "engine/sweep.hpp"
 #include "engine/thread_pool.hpp"
+#include "oracle/oracle.hpp"
 #include "potential/exact_potential.hpp"
 
 namespace {
@@ -33,7 +34,7 @@ int run(int argc, char** argv) {
                 "Worked example: m=(2,1), F≡1, two coins; then a random-game "
                 "scan for 4-cycle obstructions (Monderer–Shapley). 4-cycle "
                 "searches run on the enumeration engine (--compare-scan "
-                "replays them on the legacy walker and asserts agreement).");
+                "replays them on the oracle walker and asserts agreement).");
 
   // The paper's table of four configurations and payoffs.
   const Game g = proposition1_game();
@@ -101,16 +102,18 @@ int run(int argc, char** argv) {
             << " lanes in " << fmt_double(wall_ms, 1) << " ms]\n";
 
   if (compare_scan) {
-    // Replay the obstruction scan on the legacy full-space walker (same
+    // Replay the obstruction scan on the oracle full-space walker (same
     // tasks, same seeds) and assert verdict-for-verdict agreement.
     std::vector<std::uint8_t> legacy(obstructed.size(), 0);
     watch.restart();
     pool.parallel_for(legacy.size(), [&](std::size_t i) {
-      if (find_nonzero_four_cycle_scan(task_game(i)).has_value()) legacy[i] = 1;
+      if (oracle::find_nonzero_four_cycle_scan(task_game(i)).has_value()) {
+        legacy[i] = 1;
+      }
     });
     const double legacy_ms = watch.elapsed_ms();
     const bool identical = legacy == obstructed;
-    std::cout << "[compare-scan: legacy walker " << fmt_double(legacy_ms, 1)
+    std::cout << "[compare-scan: oracle walker " << fmt_double(legacy_ms, 1)
               << " ms vs engine " << fmt_double(wall_ms, 1) << " ms => "
               << fmt_double(legacy_ms / wall_ms, 1) << "x, verdicts "
               << (identical ? "identical" : "MISMATCH") << "]\n";

@@ -1,14 +1,16 @@
 /// \file bench_micro.cpp
 /// Experiment E10 — core-operation microbenchmarks and the hot-loop
-/// headline: better-response learning steps/sec, scan path vs the
+/// headline: better-response learning steps/sec, brute-force scan vs the
 /// incremental BestResponseIndex.
 ///
 /// Not a paper artifact; these keep the exact-arithmetic core honest. The
-/// headline table runs the same 1000-miner × 10-coin random-move learning
-/// trajectory through both scheduler paths and reports the speedup; the
-/// `--compare-scan` check (on by default) asserts the two paths picked
-/// bit-identical move sequences (steps, FNV move hash, final
-/// configuration) and the binary exits nonzero if they diverged.
+/// headline table runs one 1000-miner × 10-coin random-move trajectory
+/// under the library scheduler (`index`) and the test-only oracle scheduler
+/// (`scan`, tests/oracle), which rescans every move per step. Both go
+/// through `run_learning`, which keeps an index in sync every step, so the
+/// `scan` row's `ms` includes that upkeep. `--compare-scan` (on by default)
+/// asserts both picked bit-identical moves (steps, FNV move hash, final
+/// configuration); the binary exits nonzero if they diverged.
 ///
 /// Self-contained harness (no google-benchmark): supports `--quick`,
 /// `--json=<base>` / `--csv=<base>`, `--miners/--coins/--steps/--seed`,
@@ -21,6 +23,7 @@
 #include "core/moves.hpp"
 #include "dynamics/best_response_index.hpp"
 #include "dynamics/learning.hpp"
+#include "oracle/oracle.hpp"
 #include "potential/list_potential.hpp"
 
 namespace {
@@ -55,14 +58,11 @@ struct PathRun {
 };
 
 PathRun run_path(const Game& game, const Configuration& start,
-                 std::uint64_t scheduler_seed, bool use_index,
-                 std::uint64_t max_steps) {
-  auto scheduler = make_scheduler(SchedulerKind::kRandomMove, scheduler_seed);
+                 Scheduler& scheduler, std::uint64_t max_steps) {
   LearningOptions options;
-  options.use_index = use_index;
   options.max_steps = max_steps;
   bench::Stopwatch watch;
-  LearningResult learned = run_learning(game, start, *scheduler, options);
+  LearningResult learned = run_learning(game, start, scheduler, options);
   return PathRun{std::move(learned), watch.elapsed_ms()};
 }
 
@@ -78,8 +78,8 @@ int run(int argc, char** argv) {
   bench::banner(
       "E10 — core-op microbenchmarks + hot-loop scan-vs-index headline",
       "Exact-arithmetic core operations, then random-move learning steps/sec "
-      "through the scan path vs the incremental BestResponseIndex on the "
-      "same trajectory.");
+      "under the brute-force oracle scheduler vs the incremental "
+      "BestResponseIndex on the same trajectory.");
 
   // ------------------------------------------------------- core operations
   const std::size_t base_iters = quick ? 20000 : 200000;
@@ -141,10 +141,12 @@ int run(int argc, char** argv) {
   const Configuration start = random_configuration(game, rng);
   const std::uint64_t scheduler_seed = seed * 7919 + 1;
 
-  const PathRun indexed =
-      run_path(game, start, scheduler_seed, /*use_index=*/true, steps);
-  const PathRun scan =
-      run_path(game, start, scheduler_seed, /*use_index=*/false, steps);
+  const auto index_scheduler =
+      make_scheduler(SchedulerKind::kRandomMove, scheduler_seed);
+  const PathRun indexed = run_path(game, start, *index_scheduler, steps);
+  oracle::ScanScheduler scan_scheduler(SchedulerKind::kRandomMove,
+                                       scheduler_seed);
+  const PathRun scan = run_path(game, start, scan_scheduler, steps);
 
   const auto steps_per_sec = [](const PathRun& r) {
     return r.ms > 0.0 ? 1e3 * static_cast<double>(r.learned.steps) / r.ms : 0.0;

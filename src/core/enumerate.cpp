@@ -18,35 +18,6 @@ std::optional<std::uint64_t> configuration_count(const System& system) {
   return total;
 }
 
-void for_each_configuration(
-    const std::shared_ptr<const System>& system, std::uint64_t max_configs,
-    const std::function<bool(const Configuration&)>& visit) {
-  GOC_CHECK_ARG(system != nullptr, "for_each_configuration requires a system");
-  const auto count = configuration_count(*system);
-  GOC_CHECK_ARG(count.has_value() && *count <= max_configs,
-                "configuration space too large to enumerate");
-
-  const std::size_t n = system->num_miners();
-  const std::uint32_t coins = static_cast<std::uint32_t>(system->num_coins());
-  Configuration config = Configuration::all_at(system, CoinId(0));
-  std::vector<std::uint32_t> digits(n, 0);
-  for (;;) {
-    if (!visit(config)) return;
-    // Odometer increment; miner 0 is the least-significant digit.
-    std::size_t pos = 0;
-    while (pos < n) {
-      if (++digits[pos] < coins) {
-        config.move(MinerId(static_cast<std::uint32_t>(pos)), CoinId(digits[pos]));
-        break;
-      }
-      digits[pos] = 0;
-      config.move(MinerId(static_cast<std::uint32_t>(pos)), CoinId(0));
-      ++pos;
-    }
-    if (pos == n) return;  // odometer wrapped — all configurations visited
-  }
-}
-
 // ---------------------------------------------------------------- symmetry
 
 namespace {

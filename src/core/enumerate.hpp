@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -55,20 +54,14 @@
 ///    `MoveComparator` directly. The `obs` counters `enum.walks.int64` /
 ///    `enum.walks.i128` record which width each integer walk ran at.
 ///
-/// The legacy `for_each_configuration` callback walker is kept verbatim as
-/// the validation reference (`--compare-scan` paths and golden tests).
+/// The brute-force full-space walkers these engine paths are checked
+/// against (`--compare-scan` benches and the tests) live in the test-only
+/// `goc_oracle` library under tests/oracle.
 
 namespace goc {
 
 /// Number of configurations |C|^n, or nullopt if it exceeds 2^63−1.
 std::optional<std::uint64_t> configuration_count(const System& system);
-
-/// Reference walker: invokes `visit` on every configuration in odometer
-/// order (miner 0 is the fastest-changing digit). Stops early when `visit`
-/// returns false. Throws std::invalid_argument when |C|^n > max_configs.
-void for_each_configuration(const std::shared_ptr<const System>& system,
-                            std::uint64_t max_configs,
-                            const std::function<bool(const Configuration&)>& visit);
 
 // ------------------------------------------------------------ symmetry
 

@@ -77,14 +77,6 @@ bool is_equilibrium(const Game& game, const Configuration& s) {
   return true;
 }
 
-std::vector<MinerId> unstable_miners(const Game& game, const Configuration& s) {
-  std::vector<MinerId> out;
-  for (std::uint32_t p = 0; p < game.num_miners(); ++p) {
-    if (!is_stable(game, s, MinerId(p))) out.emplace_back(p);
-  }
-  return out;
-}
-
 bool is_epsilon_stable(const Game& game, const Configuration& s, MinerId p,
                        const Rational& epsilon) {
   GOC_CHECK_ARG(!epsilon.is_negative(), "epsilon must be nonnegative");
@@ -106,50 +98,6 @@ bool is_epsilon_equilibrium(const Game& game, const Configuration& s,
     if (!is_epsilon_stable(game, s, MinerId(p), epsilon)) return false;
   }
   return true;
-}
-
-std::size_t count_better_responses(const Game& game, const Configuration& s,
-                                   MinerId p) {
-  std::size_t count = 0;
-  const Rational current = game.payoff(s, p);
-  const CoinId here = s.of(p);
-  for (std::uint32_t c = 0; c < game.num_coins(); ++c) {
-    const CoinId coin(c);
-    if (coin == here) continue;
-    if (!game.can_mine(p, coin)) continue;
-    if (game.payoff_if_move(s, p, coin) > current) ++count;
-  }
-  return count;
-}
-
-std::size_t count_all_better_response_moves(const Game& game,
-                                            const Configuration& s) {
-  std::size_t count = 0;
-  for (std::uint32_t p = 0; p < game.num_miners(); ++p) {
-    count += count_better_responses(game, s, MinerId(p));
-  }
-  return count;
-}
-
-std::optional<Move> nth_better_response_move(const Game& game,
-                                             const Configuration& s,
-                                             std::size_t n) {
-  for (std::uint32_t p = 0; p < game.num_miners(); ++p) {
-    const MinerId miner(p);
-    const Rational current = game.payoff(s, miner);
-    const CoinId here = s.of(miner);
-    for (std::uint32_t c = 0; c < game.num_coins(); ++c) {
-      const CoinId coin(c);
-      if (coin == here) continue;
-      if (!game.can_mine(miner, coin)) continue;
-      const Rational after = game.payoff_if_move(s, miner, coin);
-      if (after > current) {
-        if (n == 0) return Move{miner, here, coin, after - current};
-        --n;
-      }
-    }
-  }
-  return std::nullopt;
 }
 
 std::vector<Move> all_better_response_moves(const Game& game,

@@ -13,11 +13,12 @@
 /// no better response is *stable*; a configuration where every miner is
 /// stable is a pure equilibrium.
 ///
-/// Everything here is the *scan-based reference implementation*: from
-/// scratch, exact `Rational` payoffs, O(|C|) per miner. The learning hot
-/// loop uses `dynamics::BestResponseIndex` (built on the `MoveComparator`
-/// fast path in core/move_compare.hpp) instead, and the reference scans
-/// double as its audit oracle.
+/// Everything here is computed from scratch with exact `Rational` payoffs,
+/// O(|C|) per miner. The learning hot loop reads the same facts off
+/// `dynamics::BestResponseIndex` (built on the `MoveComparator` fast path
+/// in core/move_compare.hpp), and these scans double as its audit. The
+/// brute-force scheduler and walker oracles the tests compare the library
+/// against live in tests/oracle.
 
 namespace goc {
 
@@ -54,31 +55,10 @@ bool is_stable(const Game& game, const Configuration& s, MinerId p);
 /// True iff every miner is stable in s (pure equilibrium).
 bool is_equilibrium(const Game& game, const Configuration& s);
 
-/// Miners with at least one better response, in miner-id order.
-std::vector<MinerId> unstable_miners(const Game& game, const Configuration& s);
-
 /// Every better-response move available in s (the full improvement
-/// neighborhood; used by enumeration and as the audit reference). Moves are
-/// ordered by (miner id, coin id).
+/// neighborhood). Moves are ordered by (miner id, coin id).
 std::vector<Move> all_better_response_moves(const Game& game,
                                             const Configuration& s);
-
-/// |better_responses(game, s, p)| without materializing the vector.
-std::size_t count_better_responses(const Game& game, const Configuration& s,
-                                   MinerId p);
-
-/// |all_better_response_moves(game, s)| without materializing the vector
-/// (no `Rational` gain is computed per move).
-std::size_t count_all_better_response_moves(const Game& game,
-                                            const Configuration& s);
-
-/// The move at position `n` of `all_better_response_moves(game, s)` — the
-/// same (miner id, coin id) ordering — materializing only that one move.
-/// nullopt when fewer than n+1 improving moves exist. Lets samplers pick a
-/// uniform improving move in O(n·|C|) comparisons and O(1) allocations.
-std::optional<Move> nth_better_response_move(const Game& game,
-                                             const Configuration& s,
-                                             std::size_t n);
 
 /// ε-stability (relative): p has no move improving its payoff by more than
 /// epsilon·u_p(s). With epsilon = 0 this is exact stability. Miners with

@@ -106,7 +106,7 @@ class BestResponseIndex {
   /// |all_better_response_moves(game, s)|.
   std::size_t total_improving() const noexcept { return total_improving_; }
 
-  /// Unstable miners in miner-id order (mirrors `unstable_miners`).
+  /// Unstable miners in miner-id order.
   const std::vector<MinerId>& unstable() const noexcept { return unstable_; }
 
   /// True iff the configuration is a pure equilibrium.

@@ -20,6 +20,36 @@ void hash_move(std::uint64_t& h, const Move& move) {
   fnv::mix_word(h, move.to.value);
 }
 
+/// The ε-learning rule: the globally maximal relative gain, or nothing once
+/// that maximum is ≤ epsilon (every miner is then ε-stable). A miner's
+/// maximal-relative-gain move is its best response (its current payoff is
+/// fixed), so only the unstable miners' cached bests compete; the strict
+/// `>` over the id-ordered unstable set keeps the lowest miner on ties.
+class MaxRelativeGainScheduler final : public Scheduler {
+ public:
+  explicit MaxRelativeGainScheduler(const Rational& epsilon)
+      : epsilon_(epsilon) {}
+
+  std::optional<Move> pick(const Game& game, const Configuration& s,
+                           const dynamics::BestResponseIndex& index) override {
+    std::optional<MinerId> best;
+    Rational best_relative(0);
+    for (const MinerId miner : index.unstable()) {
+      const Rational relative = index.best_gain(miner) / game.payoff(s, miner);
+      if (!best || relative > best_relative) {
+        best = miner;
+        best_relative = relative;
+      }
+    }
+    if (!best || !(best_relative > epsilon_)) return std::nullopt;
+    return index.best_move(*best);
+  }
+  std::string name() const override { return "max-relative-gain"; }
+
+ private:
+  Rational epsilon_;
+};
+
 }  // namespace
 
 LearningResult run_learning(const Game& game, Configuration start,
@@ -37,14 +67,10 @@ LearningResult run_learning(const Game& game, Configuration start,
   PotentialKey prev_key;
   if (options.audit_potential) prev_key = potential_key(game, s);
 
-  // No index for schedulers that would fall back to the scan anyway:
-  // external Scheduler subclasses pay nothing for the fast path.
-  std::optional<dynamics::BestResponseIndex> index;
-  if (options.use_index && scheduler.supports_index()) index.emplace(game, s);
+  dynamics::BestResponseIndex index(game, s);
 
   while (result.steps < options.max_steps) {
-    const auto move = index ? scheduler.pick_indexed(game, s, *index)
-                            : scheduler.pick(game, s);
+    const auto move = scheduler.pick(game, s, index);
     if (!move) {
       result.converged = true;
       break;
@@ -60,7 +86,7 @@ LearningResult run_learning(const Game& game, Configuration start,
                  "Observation 2 violated: RPU did not rise on both coins");
     }
     s.move(move->miner, move->to);
-    if (index) index->sync(s);
+    index.sync(s);
     ++result.steps;
     hash_move(result.move_hash, *move);
     if (keep_moves) {
@@ -72,7 +98,7 @@ LearningResult run_learning(const Game& game, Configuration start,
       GOC_ASSERT(prev_key < key,
                  "Theorem 1 violated: ordinal potential did not increase");
       prev_key = std::move(key);
-      if (index) index->audit();
+      index.audit();
     }
   }
   if (!result.converged) {
@@ -86,72 +112,15 @@ LearningResult run_learning_to_epsilon(const Game& game, Configuration start,
                                        const Rational& epsilon,
                                        const LearningOptions& options) {
   GOC_CHECK_ARG(!epsilon.is_negative(), "epsilon must be nonnegative");
-  GOC_CHECK_ARG(&start.system() == &game.system(),
-                "configuration belongs to a different system");
-  GOC_CHECK_ARG(game.respects_access(start),
-                "start configuration violates the game's access policy");
-  LearningResult result{std::move(start), 0, false, Trace{}};
-  Configuration& s = result.final_configuration;
-  const bool keep_moves = options.record_moves || options.record_configurations;
-  if (options.record_configurations) result.trace.set_start(s);
-
-  std::optional<dynamics::BestResponseIndex> index;
-  if (options.use_index) index.emplace(game, s);
-
-  while (result.steps < options.max_steps) {
-    // Globally maximal relative gain; ties toward lower miner/coin ids.
-    std::optional<Move> best;
-    Rational best_relative(0);
-    if (index) {
-      // The maximal-relative-gain move of a miner is its best response
-      // (current payoff is fixed per miner), so only unstable miners'
-      // cached bests compete. The strict `>` over the id-ordered unstable
-      // set reproduces the scan's lowest-miner tie-break.
-      for (const MinerId miner : index->unstable()) {
-        const Rational relative =
-            index->best_gain(miner) / game.payoff(s, miner);
-        if (!best || relative > best_relative) {
-          best = index->best_move(miner);
-          best_relative = relative;
-        }
-      }
-      if (options.audit_potential) index->audit();
-    } else {
-      for (std::uint32_t p = 0; p < game.num_miners(); ++p) {
-        const MinerId miner(p);
-        const Rational current = game.payoff(s, miner);
-        const CoinId here = s.of(miner);
-        for (std::uint32_t c = 0; c < game.num_coins(); ++c) {
-          const CoinId coin(c);
-          if (coin == here || !game.can_mine(miner, coin)) continue;
-          const Rational after = game.payoff_if_move(s, miner, coin);
-          if (after <= current) continue;
-          const Rational relative = (after - current) / current;
-          if (!best || relative > best_relative) {
-            best = Move{miner, here, coin, after - current};
-            best_relative = relative;
-          }
-        }
-      }
-    }
-    if (!best || !(best_relative > epsilon)) {
-      result.converged = true;  // ε-equilibrium reached (exact when ε == 0)
-      break;
-    }
-    s.move(best->miner, best->to);
-    if (index) index->sync(s);
-    ++result.steps;
-    hash_move(result.move_hash, *best);
-    if (keep_moves) {
-      result.trace.add_step(*best,
-                            options.record_configurations ? &s : nullptr);
-    }
-  }
+  MaxRelativeGainScheduler scheduler(epsilon);
+  LearningResult result =
+      run_learning(game, std::move(start), scheduler, options);
+  // At the step cap `run_learning` asks for an exact equilibrium; an
+  // ε-equilibrium is what ε-learning promises.
   if (!result.converged) {
-    result.converged = is_epsilon_equilibrium(game, s, epsilon);
+    result.converged =
+        is_epsilon_equilibrium(game, result.final_configuration, epsilon);
   }
-  GOC_DASSERT(!result.converged || is_epsilon_equilibrium(game, s, epsilon),
-              "epsilon driver stopped away from an epsilon-equilibrium");
   return result;
 }
 

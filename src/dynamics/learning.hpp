@@ -14,12 +14,13 @@
 /// step cap as a defensive bound (an exceeded cap in a correct build is a
 /// bug, and `converged=false` makes it loud).
 ///
-/// The driver owns a `BestResponseIndex` lifecycle: by default every step
-/// goes through the index fast path (`Scheduler::pick_indexed`, O(Δ) per
-/// step); `use_index = false` selects the from-scratch scan path. The two
-/// paths pick identical move sequences — `move_hash` in the result lets
-/// callers assert that cheaply, and `audit_potential` cross-checks the
-/// index against the reference scans every step.
+/// `run_learning` owns a `BestResponseIndex` lifecycle: it builds the index
+/// once, hands it to `Scheduler::pick` in sync with the current
+/// configuration, and syncs it after every step (O(Δ) per step). There is
+/// one path; the brute-force references the tests compare against live in
+/// tests/oracle. `move_hash` in the result lets callers compare
+/// trajectories cheaply, and `audit_potential` cross-checks the index
+/// against the reference scans every step.
 
 namespace goc {
 
@@ -35,16 +36,10 @@ struct LearningOptions {
   bool record_configurations = false;
 
   /// Verify after every step that the Theorem 1 ordinal potential strictly
-  /// increased, that the move satisfied Observations 1–2, and (on the
-  /// index path) that the BestResponseIndex agrees fact-for-fact with the
-  /// from-scratch scans; throws goc::InvariantError on violation.
-  /// O(n·|C|) extra per step.
+  /// increased, that the move satisfied Observations 1–2, and that the
+  /// BestResponseIndex agrees fact-for-fact with the from-scratch scans;
+  /// throws goc::InvariantError on violation. O(n·|C|) extra per step.
   bool audit_potential = false;
-
-  /// Drive scheduling through the incremental BestResponseIndex (the hot
-  /// path). `false` selects the scan-based reference implementation; both
-  /// produce the same move sequence.
-  bool use_index = true;
 };
 
 struct LearningResult {
@@ -54,8 +49,8 @@ struct LearningResult {
   Trace trace;             ///< populated per LearningOptions
 
   /// FNV-1a hash of the move sequence (miner, from, to per step) — always
-  /// populated, so scan/index (and serial/parallel) trajectory equality
-  /// can be checked without recording moves.
+  /// populated, so oracle/library (and serial/parallel) trajectory
+  /// equality can be checked without recording moves.
   std::uint64_t move_hash = 0xcbf29ce484222325ULL;
 };
 

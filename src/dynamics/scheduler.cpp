@@ -11,31 +11,12 @@ namespace {
 
 using dynamics::BestResponseIndex;
 
-/// Builds the Move record for miner p moving to its best response.
-std::optional<Move> best_response_move(const Game& game, const Configuration& s,
-                                       MinerId p) {
-  const auto target = best_response(game, s, p);
-  if (!target) return std::nullopt;
-  return Move{p, s.of(p), *target, move_gain(game, s, p, *target)};
-}
-
 class RandomMoveScheduler final : public Scheduler {
  public:
   explicit RandomMoveScheduler(std::uint64_t seed) : rng_(seed) {}
 
-  std::optional<Move> pick(const Game& game, const Configuration& s) override {
-    // Count-then-select: one uniform draw over the same (miner, coin)
-    // ordering the old materialized vector had, but without building (and
-    // copying) n·|C| Move records with Rational gains every step.
-    const std::size_t total = count_all_better_response_moves(game, s);
-    if (total == 0) return std::nullopt;
-    return nth_better_response_move(game, s, rng_.next_below(total));
-  }
-
-  std::optional<Move> pick_indexed(const Game& game, const Configuration& s,
-                                   const BestResponseIndex& index) override {
-    (void)game;
-    (void)s;
+  std::optional<Move> pick(const Game&, const Configuration&,
+                           const BestResponseIndex& index) override {
     const std::size_t total = index.total_improving();
     if (total == 0) return std::nullopt;
     std::size_t n = rng_.next_below(total);
@@ -48,7 +29,6 @@ class RandomMoveScheduler final : public Scheduler {
     return std::nullopt;
   }
   std::string name() const override { return "random-move"; }
-  bool supports_index() const override { return true; }
 
  private:
   Rng rng_;
@@ -58,20 +38,8 @@ class RandomMinerScheduler final : public Scheduler {
  public:
   explicit RandomMinerScheduler(std::uint64_t seed) : rng_(seed) {}
 
-  std::optional<Move> pick(const Game& game, const Configuration& s) override {
-    const std::vector<MinerId> unstable = unstable_miners(game, s);
-    if (unstable.empty()) return std::nullopt;
-    const MinerId p = unstable[rng_.pick_index(unstable)];
-    const std::vector<CoinId> options = better_responses(game, s, p);
-    GOC_ASSERT(!options.empty(), "unstable miner without better responses");
-    const CoinId to = options[rng_.pick_index(options)];
-    return Move{p, s.of(p), to, move_gain(game, s, p, to)};
-  }
-
-  std::optional<Move> pick_indexed(const Game& game, const Configuration& s,
-                                   const BestResponseIndex& index) override {
-    (void)game;
-    (void)s;
+  std::optional<Move> pick(const Game&, const Configuration&,
+                           const BestResponseIndex& index) override {
     const std::vector<MinerId>& unstable = index.unstable();
     if (unstable.empty()) return std::nullopt;
     const MinerId p = unstable[rng_.pick_index(unstable)];
@@ -81,7 +49,6 @@ class RandomMinerScheduler final : public Scheduler {
     return index.move_to(p, to);
   }
   std::string name() const override { return "random-miner"; }
-  bool supports_index() const override { return true; }
 
  private:
   Rng rng_;
@@ -89,19 +56,8 @@ class RandomMinerScheduler final : public Scheduler {
 
 class RoundRobinScheduler final : public Scheduler {
  public:
-  std::optional<Move> pick(const Game& game, const Configuration& s) override {
-    const std::size_t n = game.num_miners();
-    for (std::size_t scanned = 0; scanned < n; ++scanned) {
-      const MinerId p(static_cast<std::uint32_t>(cursor_));
-      cursor_ = (cursor_ + 1) % n;
-      if (auto move = best_response_move(game, s, p)) return move;
-    }
-    return std::nullopt;
-  }
-
-  std::optional<Move> pick_indexed(const Game& game, const Configuration& s,
-                                   const BestResponseIndex& index) override {
-    (void)s;
+  std::optional<Move> pick(const Game& game, const Configuration&,
+                           const BestResponseIndex& index) override {
     const std::size_t n = game.num_miners();
     for (std::size_t scanned = 0; scanned < n; ++scanned) {
       const MinerId p(static_cast<std::uint32_t>(cursor_));
@@ -111,7 +67,6 @@ class RoundRobinScheduler final : public Scheduler {
     return std::nullopt;
   }
   std::string name() const override { return "round-robin"; }
-  bool supports_index() const override { return true; }
   void reset() override { cursor_ = 0; }
 
  private:
@@ -122,23 +77,8 @@ class RoundRobinScheduler final : public Scheduler {
 template <bool kMax>
 class GainExtremalScheduler final : public Scheduler {
  public:
-  std::optional<Move> pick(const Game& game, const Configuration& s) override {
-    std::vector<Move> moves = all_better_response_moves(game, s);
-    if (moves.empty()) return std::nullopt;
-    const auto better = [](const Move& a, const Move& b) {
-      if (a.gain != b.gain) return kMax ? a.gain > b.gain : a.gain < b.gain;
-      if (a.miner != b.miner) return a.miner < b.miner;
-      return a.to < b.to;
-    };
-    return *std::min_element(moves.begin(), moves.end(),
-                             [&](const Move& a, const Move& b) {
-                               return better(a, b);
-                             });
-  }
-
-  std::optional<Move> pick_indexed(const Game& game, const Configuration& s,
-                                   const BestResponseIndex& index) override {
-    (void)game;
+  std::optional<Move> pick(const Game&, const Configuration& s,
+                           const BestResponseIndex& index) override {
     // The extremal move over all improving (miner, coin) pairs decomposes
     // per miner: a miner's max-gain move is its best response and its
     // min-gain move its lowest-payoff improving coin, each with lowest
@@ -162,7 +102,6 @@ class GainExtremalScheduler final : public Scheduler {
     return index.move_to(chosen->first, chosen->second);
   }
   std::string name() const override { return kMax ? "max-gain" : "min-gain"; }
-  bool supports_index() const override { return true; }
 };
 
 /// Power-ordered schedulers: the heaviest (or lightest) unstable miner takes
@@ -170,15 +109,8 @@ class GainExtremalScheduler final : public Scheduler {
 template <bool kLargest>
 class PowerOrderedScheduler final : public Scheduler {
  public:
-  std::optional<Move> pick(const Game& game, const Configuration& s) override {
-    const std::vector<MinerId> unstable = unstable_miners(game, s);
-    if (unstable.empty()) return std::nullopt;
-    return best_response_move(game, s, choose(game, unstable));
-  }
-
-  std::optional<Move> pick_indexed(const Game& game, const Configuration& s,
-                                   const BestResponseIndex& index) override {
-    (void)s;
+  std::optional<Move> pick(const Game& game, const Configuration&,
+                           const BestResponseIndex& index) override {
     const std::vector<MinerId>& unstable = index.unstable();
     if (unstable.empty()) return std::nullopt;
     return index.best_move(choose(game, unstable));
@@ -186,7 +118,6 @@ class PowerOrderedScheduler final : public Scheduler {
   std::string name() const override {
     return kLargest ? "largest-first" : "smallest-first";
   }
-  bool supports_index() const override { return true; }
 
  private:
   static MinerId choose(const Game& game,
@@ -205,28 +136,13 @@ class PowerOrderedScheduler final : public Scheduler {
 
 class LexicographicScheduler final : public Scheduler {
  public:
-  std::optional<Move> pick(const Game& game, const Configuration& s) override {
-    for (std::uint32_t p = 0; p < game.num_miners(); ++p) {
-      const MinerId miner(p);
-      const std::vector<CoinId> options = better_responses(game, s, miner);
-      if (!options.empty()) {
-        const CoinId to = options.front();
-        return Move{miner, s.of(miner), to, move_gain(game, s, miner, to)};
-      }
-    }
-    return std::nullopt;
-  }
-
-  std::optional<Move> pick_indexed(const Game& game, const Configuration& s,
-                                   const BestResponseIndex& index) override {
-    (void)game;
-    (void)s;
+  std::optional<Move> pick(const Game&, const Configuration&,
+                           const BestResponseIndex& index) override {
     if (index.unstable().empty()) return std::nullopt;
     const MinerId miner = index.unstable().front();
     return index.move_to(miner, index.nth_improving(miner, 0));
   }
   std::string name() const override { return "lexicographic"; }
-  bool supports_index() const override { return true; }
 };
 
 }  // namespace

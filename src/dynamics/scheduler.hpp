@@ -22,12 +22,11 @@
 /// slowest improving path), power-ordered, and fully deterministic
 /// lexicographic selection.
 ///
-/// Every scheduler has two equivalent implementations: the scan path
-/// (`pick`) recomputes the improvement neighborhood from scratch, and the
-/// index path (`pick_indexed`) reads it off a `BestResponseIndex`. The two
-/// paths pick the *same move* from the *same state* and consume the RNG
-/// identically, so entire trajectories coincide move-for-move — the
-/// contract tests/test_best_response_index.cpp enforces for every kind.
+/// Every scheduler reads the improvement neighborhood off an incremental
+/// `dynamics::BestResponseIndex` (O(Δ) per step). The library has no second,
+/// scan-based path: the brute-force reference schedulers live in the
+/// test-only `goc_oracle` library (tests/oracle), and the tests check that
+/// every kind picks the oracle's exact move sequence.
 
 namespace goc {
 
@@ -40,26 +39,12 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  /// Scan path: from-scratch reference implementation.
-  virtual std::optional<Move> pick(const Game& game, const Configuration& s) = 0;
-
-  /// Index path: reads the improvement neighborhood from `index` (which
-  /// must be in sync with `s`). Must pick the exact move `pick` would and
-  /// draw the same random variates. Overridden by every built-in kind; the
-  /// default falls back to the scan so external Scheduler subclasses keep
-  /// working unchanged.
-  virtual std::optional<Move> pick_indexed(
+  /// Picks the next move from `s`. `index` is in sync with `s` at every
+  /// call (`index.in_sync(s)`), so a scheduler may read any cached fact off
+  /// it instead of rescanning the game.
+  virtual std::optional<Move> pick(
       const Game& game, const Configuration& s,
-      const dynamics::BestResponseIndex& index) {
-    (void)index;
-    return pick(game, s);
-  }
-
-  /// True when `pick_indexed` actually uses the index. `run_learning`
-  /// skips building (and per-step syncing) an index for schedulers that
-  /// would fall back to the scan anyway, so external subclasses pay
-  /// nothing for the fast path they don't implement.
-  virtual bool supports_index() const { return false; }
+      const dynamics::BestResponseIndex& index) = 0;
 
   /// Stable identifier for tables/CSV ("random", "max-gain", …).
   virtual std::string name() const = 0;

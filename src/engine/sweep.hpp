@@ -98,7 +98,7 @@ struct SweepRecord {
   /// FNV-1a hash of the full move sequence (from LearningResult). Part of
   /// the determinism contract: bit-equality here means the trajectories —
   /// not just the endpoints — coincided, which is how `--compare-scan`
-  /// proves the index path picks the exact moves the scan path picks.
+  /// proves each task picked the exact moves of its oracle replay.
   std::uint64_t move_hash = 0;
 
   /// distributed_reward / total_reward at the final configuration (1.0 at

@@ -175,20 +175,6 @@ std::optional<NeverAloneViolation> find_never_alone_violation(
   return find_never_alone_violation(game, opts);
 }
 
-std::optional<NeverAloneViolation> find_never_alone_violation_scan(
-    const Game& game, std::uint64_t max_configs) {
-  std::optional<NeverAloneViolation> violation;
-  for_each_configuration(game.system_ptr(), max_configs,
-                         [&](const Configuration& s) {
-                           if (const auto coin = never_alone_violation_at(game, s)) {
-                             violation = NeverAloneViolation{s, *coin};
-                             return false;
-                           }
-                           return true;
-                         });
-  return violation;
-}
-
 std::optional<GenericityViolation> find_genericity_violation(
     const Game& game, std::size_t max_miners) {
   const std::size_t n = game.num_miners();

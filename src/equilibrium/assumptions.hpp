@@ -42,19 +42,13 @@ std::optional<CoinId> never_alone_violation_at(const Game& game,
 /// symmetry-reduced parallel engine: violations are orbit-invariant, so
 /// canonical representatives suffice, and the returned witness is the
 /// first violating *canonical* configuration in canonical odometer order —
-/// deterministic at any thread count, though not necessarily the same
-/// configuration the legacy scan reports. Returns nullopt when the
-/// assumption holds (exactly iff the scan reference does).
+/// deterministic at any thread count, though not necessarily the first
+/// violation in full odometer order. Returns nullopt when the assumption
+/// holds.
 std::optional<NeverAloneViolation> find_never_alone_violation(
     const Game& game, std::uint64_t max_configs = 1u << 22);
 std::optional<NeverAloneViolation> find_never_alone_violation(
     const Game& game, const EnumerationOptions& opts);
-
-/// The legacy single-threaded full-space walker — the validation reference
-/// for `--compare-scan` runs and golden tests (first violation in full
-/// odometer order).
-std::optional<NeverAloneViolation> find_never_alone_violation_scan(
-    const Game& game, std::uint64_t max_configs = 1u << 22);
 
 /// Counterexample to Assumption 2: F(c)·sum' == F(c')·sum for nonempty
 /// subset sums `sum`, `sum'`.

@@ -129,7 +129,7 @@ std::vector<Configuration> enumerate_equilibria(const Game& game,
   if (classes.trivial) return std::move(canonical.representatives);
 
   // Expand every orbit, then merge back into full-space odometer order —
-  // the exact output of the legacy walker.
+  // the order a full-space walk produces.
   std::vector<Configuration> expanded;
   for (const auto& rep : canonical.representatives) {
     auto orbit = expand_orbit(rep, classes);
@@ -149,19 +149,6 @@ std::vector<Configuration> enumerate_equilibria(const Game& game,
   EnumerationOptions opts;
   opts.max_configs = max_configs;
   return enumerate_equilibria(game, opts);
-}
-
-std::vector<Configuration> enumerate_equilibria_scan(const Game& game,
-                                                     std::uint64_t max_configs) {
-  std::vector<Configuration> out;
-  for_each_configuration(game.system_ptr(), max_configs,
-                         [&](const Configuration& s) {
-                           if (game.respects_access(s) && is_equilibrium(game, s)) {
-                             out.push_back(s);
-                           }
-                           return true;
-                         });
-  return out;
 }
 
 std::vector<Configuration> sample_equilibria(const Game& game, Rng& rng,

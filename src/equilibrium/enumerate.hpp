@@ -14,8 +14,8 @@
 /// Exhaustive enumeration runs on the symmetry-reduced parallel engine of
 /// core/enumerate.hpp: only canonical representatives are walked (i128
 /// equilibrium checks inside the walk), and the full equilibrium set is
-/// recovered by orbit expansion — bit-identical to the legacy callback
-/// walker at any thread count. Sampled enumeration runs better-response
+/// recovered by orbit expansion — bit-identical to a full-space walk at any
+/// thread count. Sampled enumeration runs better-response
 /// learning from random starts (convergence guaranteed by Theorem 1) on
 /// the incremental `BestResponseIndex` and deduplicates the reached
 /// equilibria — sound but possibly incomplete. Section 4's experiments use
@@ -42,18 +42,13 @@ struct CanonicalEquilibria {
 CanonicalEquilibria enumerate_canonical_equilibria(const Game& game,
                                                    const EnumerationOptions& opts);
 
-/// All pure equilibria in odometer order (engine path: canonical walk +
-/// orbit expansion; identical output to `enumerate_equilibria_scan` at any
-/// `opts.threads`). Throws std::invalid_argument when |C|^n > max_configs.
+/// All pure equilibria in odometer order (canonical walk + orbit expansion;
+/// identical output at any `opts.threads`). Throws std::invalid_argument
+/// when |C|^n > max_configs.
 std::vector<Configuration> enumerate_equilibria(const Game& game,
                                                 std::uint64_t max_configs = 1u << 22);
 std::vector<Configuration> enumerate_equilibria(const Game& game,
                                                 const EnumerationOptions& opts);
-
-/// The legacy single-threaded callback walker over the full space —
-/// the validation reference for `--compare-scan` runs and golden tests.
-std::vector<Configuration> enumerate_equilibria_scan(const Game& game,
-                                                     std::uint64_t max_configs = 1u << 22);
 
 /// Distinct equilibria reached by best-response learning from `attempts`
 /// uniformly random starting configurations, driven by the incremental

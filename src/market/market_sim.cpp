@@ -98,7 +98,7 @@ void MarketSimulator::finish_epoch(EpochRecord& record) {
                                 : options_.br_steps_per_epoch;
   std::uint64_t steps = 0;
   while (steps < cap) {
-    const auto move = scheduler_->pick_indexed(game, config_, index);
+    const auto move = scheduler_->pick(game, config_, index);
     if (!move) break;
     config_.move(move->miner, move->to);
     index.sync(config_);

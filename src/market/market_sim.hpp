@@ -98,12 +98,12 @@ struct EpochRecord {
 /// (reweight-invalidated per epoch, never rebuilt from scratch). After
 /// construction a steady-state epoch allocates nothing: weights are copied
 /// into the reward function's existing storage, the index rescans into its
-/// preallocated strips, and the adjustment loop runs `pick_indexed` over
-/// it.
+/// preallocated strips, and the adjustment loop runs `Scheduler::pick`
+/// over it.
 struct EpochWorkspace {
   std::vector<Rational> weights;  ///< this epoch's F(c), quantized
   Game game;                      ///< reweighted in place each epoch
-  /// Drives the schedulers' `pick_indexed` path.
+  /// The index every `Scheduler::pick` reads.
   dynamics::BestResponseIndex index;
   std::size_t epochs_run = 0;
 

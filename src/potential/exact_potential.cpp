@@ -38,34 +38,6 @@ Rational four_cycle_sum(const Game& game, const Configuration& s, MinerId p,
 
 namespace {
 
-/// The legacy reference: full-space bases, three configuration copies per
-/// cycle (`four_cycle_sum`).
-template <typename OnCycle>
-void visit_four_cycles_scan(const Game& game, std::uint64_t max_bases,
-                            const OnCycle& on_cycle) {
-  const std::uint32_t n = static_cast<std::uint32_t>(game.num_miners());
-  const std::uint32_t coins = static_cast<std::uint32_t>(game.num_coins());
-  if (n < 2 || coins < 2) return;
-  std::uint64_t bases = 0;
-  for_each_configuration(
-      game.system_ptr(), UINT64_MAX, [&](const Configuration& base) {
-        if (++bases > max_bases) return false;
-        for (std::uint32_t pi = 0; pi < n; ++pi) {
-          for (std::uint32_t qi = pi + 1; qi < n; ++qi) {
-            const MinerId p(pi), q(qi);
-            for (std::uint32_t ap = 0; ap < coins; ++ap) {
-              if (CoinId(ap) == base.of(p)) continue;
-              for (std::uint32_t bp = 0; bp < coins; ++bp) {
-                if (CoinId(bp) == base.of(q)) continue;
-                if (!on_cycle(base, p, CoinId(ap), q, CoinId(bp))) return false;
-              }
-            }
-          }
-        }
-        return true;
-      });
-}
-
 /// The engine's in-place cycle walker. Mirrors the shard's advancing base
 /// into a scratch configuration (one O(1) move per odometer step via the
 /// move-epoch hook) and walks each 4-cycle s1→s2→s3→s4 with four O(1)
@@ -238,25 +210,6 @@ std::optional<FourCycleWitness> find_nonzero_four_cycle(const Game& game,
   return find_nonzero_four_cycle(game, max_bases, EnumerationOptions{});
 }
 
-std::optional<FourCycleWitness> find_nonzero_four_cycle_scan(
-    const Game& game, std::uint64_t max_bases) {
-  std::optional<FourCycleWitness> witness;
-  visit_four_cycles_scan(game, max_bases,
-                         [&](const Configuration& base, MinerId p, CoinId ap,
-                             MinerId q, CoinId bp) {
-                           const Rational sum = four_cycle_sum(game, base, p, ap, q, bp);
-                           if (!sum.is_zero()) {
-                             const Configuration s2 = base.with_move(p, ap);
-                             const Configuration s3 = s2.with_move(q, bp);
-                             const Configuration s4 = s3.with_move(p, base.of(p));
-                             witness = FourCycleWitness{base, s2, s3, s4, p, q, sum};
-                             return false;
-                           }
-                           return true;
-                         });
-  return witness;
-}
-
 bool has_exact_potential(const Game& game, const EnumerationOptions& opts) {
   const auto count = configuration_count(game.system());
   GOC_CHECK_ARG(count.has_value() && *count <= opts.max_configs,
@@ -285,23 +238,6 @@ bool has_exact_potential(const Game& game, std::uint64_t max_configs) {
   EnumerationOptions opts;
   opts.max_configs = max_configs;
   return has_exact_potential(game, opts);
-}
-
-bool has_exact_potential_scan(const Game& game, std::uint64_t max_configs) {
-  const auto count = configuration_count(game.system());
-  GOC_CHECK_ARG(count.has_value() && *count <= max_configs,
-                "game too large for exhaustive exact-potential check");
-  bool all_zero = true;
-  visit_four_cycles_scan(game, *count,
-                         [&](const Configuration& base, MinerId p, CoinId ap,
-                             MinerId q, CoinId bp) {
-                           if (!four_cycle_sum(game, base, p, ap, q, bp).is_zero()) {
-                             all_zero = false;
-                             return false;
-                           }
-                           return true;
-                         });
-  return all_zero;
 }
 
 Game proposition1_game() {

@@ -52,12 +52,6 @@ std::optional<FourCycleWitness> find_nonzero_four_cycle(
 std::optional<FourCycleWitness> find_nonzero_four_cycle(
     const Game& game, std::uint64_t max_bases, const EnumerationOptions& opts);
 
-/// The legacy single-threaded full-space walker (first `max_bases` bases
-/// in full odometer order) — the validation reference for `--compare-scan`
-/// runs and golden tests.
-std::optional<FourCycleWitness> find_nonzero_four_cycle_scan(
-    const Game& game, std::uint64_t max_bases = 4096);
-
 /// True iff every 4-cycle sums to zero across all bases — i.e. the game
 /// admits an exact potential (only feasible for small games; throws
 /// std::invalid_argument if |C|^n exceeds `max_configs`). Engine path:
@@ -65,9 +59,6 @@ std::optional<FourCycleWitness> find_nonzero_four_cycle_scan(
 /// first nonzero sum.
 bool has_exact_potential(const Game& game, std::uint64_t max_configs = 1u << 20);
 bool has_exact_potential(const Game& game, const EnumerationOptions& opts);
-
-/// Legacy full-space reference for `has_exact_potential`.
-bool has_exact_potential_scan(const Game& game, std::uint64_t max_configs = 1u << 20);
 
 /// The two-miner/two-coin counterexample from the proof of Proposition 1:
 /// m = (2, 1), F ≡ 1. `find_nonzero_four_cycle` on it reproduces the

@@ -32,7 +32,7 @@ void reject_unknown(const Cli& cli, const std::vector<std::string>& known) {
   const std::vector<std::string> stray = cli.unknown(known);
   if (stray.empty()) return;
   std::string message = "unknown option(s) for " + cli.program() + ":";
-  for (const auto& name : stray) message += " --" + name;
+  for (const auto& name : stray) message += " --" + clip_input(name);
   throw std::invalid_argument(message);
 }
 
@@ -49,7 +49,8 @@ std::vector<std::size_t> parse_size_list(const std::string& text,
         values.push_back(static_cast<std::size_t>(std::stoull(item)));
       } catch (const std::exception&) {
         throw std::invalid_argument(what + " expects a comma-separated " +
-                                    "integer list, got '" + text + "'");
+                                    "integer list, got '" + clip_input(text) +
+                                    "'");
       }
     }
     if (comma == std::string::npos) break;
@@ -63,7 +64,7 @@ PowerShape power_shape_from_name(const std::string& name) {
                                  PowerShape::kZipf, PowerShape::kPareto}) {
     if (power_shape_name(shape) == name) return shape;
   }
-  throw std::invalid_argument("unknown power shape '" + name +
+  throw std::invalid_argument("unknown power shape '" + clip_input(name) +
                               "' (equal, uniform, zipf, pareto)");
 }
 
@@ -72,7 +73,7 @@ RewardShape reward_shape_from_name(const std::string& name) {
        {RewardShape::kEqual, RewardShape::kUniform, RewardShape::kMajors}) {
     if (reward_shape_name(shape) == name) return shape;
   }
-  throw std::invalid_argument("unknown reward shape '" + name +
+  throw std::invalid_argument("unknown reward shape '" + clip_input(name) +
                               "' (equal, uniform, majors)");
 }
 
@@ -85,8 +86,8 @@ SchedulerKind scheduler_kind_from_name(const std::string& name) {
     if (!valid.empty()) valid += ", ";
     valid += scheduler_kind_name(kind);
   }
-  throw std::invalid_argument("unknown scheduler '" + name + "' (" + valid +
-                              ")");
+  throw std::invalid_argument("unknown scheduler '" + clip_input(name) +
+                              "' (" + valid + ")");
 }
 
 }  // namespace goc::serve

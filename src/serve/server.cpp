@@ -45,7 +45,7 @@ std::uint64_t parse_job_id(const std::vector<std::string>& args,
     return std::stoull(args[0]);
   } catch (const std::exception&) {
     throw std::invalid_argument(std::string(verb) + " expects a job id, got '" +
-                                args[0] + "'");
+                                clip_input(args[0]) + "'");
   }
 }
 
@@ -206,7 +206,7 @@ JobTable::Work Server::make_batch_work(const Cli& cli) {
     };
   }
   throw std::invalid_argument(
-      "unknown batch scenario '" + scenario +
+      "unknown batch scenario '" + clip_input(scenario) +
       "' (chain-reference, market-random, market-fork)");
 }
 
@@ -338,7 +338,7 @@ void Server::cmd_submit(const std::string& kind,
   } else if (kind == "enumerate") {
     work = make_enumerate_work(cli);
   } else {
-    throw std::invalid_argument("unknown job kind '" + kind +
+    throw std::invalid_argument("unknown job kind '" + clip_input(kind) +
                                 "' (batch, sweep, enumerate)");
   }
   const std::uint64_t id = jobs_.submit(kind, std::move(work));
@@ -544,7 +544,7 @@ bool Server::handle_line(const std::string& line, std::ostream& out) {
     } else if (verb == "stats") {
       cmd_stats(args, out);
     } else {
-      out << "err unknown command '" << verb << "' (try help)\n";
+      out << "err unknown command '" << clip_input(verb) << "' (try help)\n";
     }
   } catch (const std::exception& error) {
     out << "err " << error.what() << "\n";

@@ -7,6 +7,13 @@
 
 namespace goc {
 
+std::string clip_input(const std::string& text) {
+  constexpr std::size_t kMaxBytes = 64;
+  if (text.size() <= kMaxBytes) return text;
+  return text.substr(0, kMaxBytes) + "... [" + std::to_string(text.size()) +
+         " bytes]";
+}
+
 Cli::Cli(int argc, const char* const* argv) {
   GOC_CHECK_ARG(argc >= 1 && argv != nullptr, "Cli requires argv[0]");
   program_ = argv[0];
@@ -57,7 +64,7 @@ auto parse_whole(const std::string& name, const std::string& text,
   } catch (const std::exception&) {
   }
   throw std::invalid_argument("option --" + name + " expects " + expects +
-                              ", got '" + text + "'");
+                              ", got '" + clip_input(text) + "'");
 }
 
 }  // namespace
@@ -101,15 +108,9 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
   const std::string& v = it->second;
   if (v.empty() || v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
-  throw std::invalid_argument("option --" + name + " expects a boolean, got '" +
-                              v + "'");
-}
-
-std::vector<std::string> Cli::option_names() const {
-  std::vector<std::string> names;
-  names.reserve(options_.size());
-  for (const auto& [k, _] : options_) names.push_back(k);
-  return names;
+  throw std::invalid_argument("option --" + name +
+                              " expects a boolean, got '" + clip_input(v) +
+                              "'");
 }
 
 std::vector<std::string> Cli::unknown(

@@ -15,6 +15,11 @@
 
 namespace goc {
 
+/// User input for an error message: `text` itself when it is at most 64
+/// bytes, else its first 64 bytes, then `... [N bytes]` with the original
+/// length, so an error line stays short whatever the input size.
+std::string clip_input(const std::string& text);
+
 class Cli {
  public:
   Cli(int argc, const char* const* argv);
@@ -36,9 +41,6 @@ class Cli {
   const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }
-
-  /// Option names that were parsed (for validation against a known set).
-  std::vector<std::string> option_names() const;
 
   /// Parsed option names NOT in `known` (sorted, as parsed order is lost
   /// to the map). Empty means every option was recognised; non-empty is

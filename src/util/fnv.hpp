@@ -7,7 +7,7 @@
 /// FNV-1a hashing primitives, single-sourced.
 ///
 /// Three hash-equality contracts in this repo ride on FNV-1a: the learning
-/// loop's `move_hash` (scan-vs-index trajectory equality), configuration
+/// loop's `move_hash` (oracle-vs-library trajectory equality), configuration
 /// hashing (equilibrium dedup buckets), and the sim layer's trajectory /
 /// value-matrix hashes (recorded-trajectory and thread-invariance checks). Two
 /// mixing granularities are deliberately kept:

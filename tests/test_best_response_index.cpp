@@ -10,11 +10,12 @@
 #include "dynamics/scheduler.hpp"
 #include "int64_bound_games.hpp"
 #include "obs/registry.hpp"
+#include "oracle/oracle.hpp"
 
 /// The index contract: `dynamics::BestResponseIndex` must agree with the
-/// scan-based reference implementation in core/moves.* on every cached
-/// fact, and schedulers driven through it must pick bit-identical move
-/// sequences — for every scheduler kind, under adversarial mass ties
+/// from-scratch scans in core/moves.* and tests/oracle on every cached
+/// fact, and each library scheduler must pick its `oracle::ScanScheduler`'s
+/// move sequence bit for bit — for every kind, under adversarial mass ties
 /// (Assumption 2 off), under restricted access, in the non-integer
 /// exact-arithmetic mode, and where i128 products overflow.
 
@@ -92,7 +93,7 @@ Game tie_game(std::size_t miners, std::size_t coins) {
 void expect_index_matches_scan(const Game& g, const Configuration& s,
                                const BestResponseIndex& index) {
   ASSERT_NO_THROW(index.audit());
-  EXPECT_EQ(index.unstable(), unstable_miners(g, s));
+  EXPECT_EQ(index.unstable(), oracle::unstable_miners(g, s));
   EXPECT_EQ(index.total_improving(), all_better_response_moves(g, s).size());
   EXPECT_EQ(index.at_equilibrium(), is_equilibrium(g, s));
   for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
@@ -401,9 +402,9 @@ TEST(BestResponseIndex, IncrementalSyncMatchesScanAlongTrajectories) {
     const Game g = random_integer_game(rng);
     Configuration s = random_configuration(g, rng);
     BestResponseIndex index(g, s);
-    auto scheduler = make_scheduler(SchedulerKind::kRandomMove, 99 + trial);
+    oracle::ScanScheduler scheduler(SchedulerKind::kRandomMove, 99 + trial);
     for (int step = 0; step < 200; ++step) {
-      const auto move = scheduler->pick(g, s);
+      const auto move = scheduler.pick(g, s, index);
       if (!move) break;
       s.move(move->miner, move->to);
       index.sync(s);
@@ -421,9 +422,9 @@ TEST(BestResponseIndex, InvalidationStressUnderAdversarialMassTies) {
     Rng rng(seed);
     Configuration s = random_configuration(g, rng);
     BestResponseIndex index(g, s);
-    auto scheduler = make_scheduler(SchedulerKind::kRandomMove, seed * 31);
+    oracle::ScanScheduler scheduler(SchedulerKind::kRandomMove, seed * 31);
     for (int step = 0; step < 300; ++step) {
-      const auto move = scheduler->pick(g, s);
+      const auto move = scheduler.pick(g, s, index);
       if (!move) break;
       s.move(move->miner, move->to);
       index.sync(s);
@@ -464,23 +465,20 @@ class IndexedSchedulerEquivalence
     : public ::testing::TestWithParam<
           std::tuple<SchedulerKind, std::uint64_t>> {};
 
-/// Runs learning from `start` on the scan and the index path and expects
-/// the same moves, gains included.
+/// Runs learning from `start` under the oracle and the library scheduler of
+/// `kind`, both seeded with `seed`, and expects the same moves, gains
+/// included. `audit` cross-checks the index every library step.
 void expect_paths_match_move_for_move(const Game& g,
                                       const Configuration& start,
-                                      SchedulerKind kind, std::uint64_t seed) {
-  LearningOptions scan_opts;
-  scan_opts.use_index = false;
-  scan_opts.record_moves = true;
-  LearningOptions index_opts;
-  index_opts.use_index = true;
-  index_opts.record_moves = true;
-
-  auto scan_sched = make_scheduler(kind, seed ^ 0xF00D);
-  auto index_sched = make_scheduler(kind, seed ^ 0xF00D);
-  const LearningResult scan = run_learning(g, start, *scan_sched, scan_opts);
-  const LearningResult indexed =
-      run_learning(g, start, *index_sched, index_opts);
+                                      SchedulerKind kind, std::uint64_t seed,
+                                      bool audit = false) {
+  LearningOptions opts;
+  opts.record_moves = true;
+  oracle::ScanScheduler scan_sched(kind, seed);
+  const LearningResult scan = run_learning(g, start, scan_sched, opts);
+  opts.audit_potential = audit;
+  auto index_sched = make_scheduler(kind, seed);
+  const LearningResult indexed = run_learning(g, start, *index_sched, opts);
 
   EXPECT_TRUE(scan.converged);
   EXPECT_TRUE(indexed.converged);
@@ -503,7 +501,7 @@ TEST_P(IndexedSchedulerEquivalence, TrajectoriesMatchMoveForMove) {
   Rng rng(seed);
   const Game g = random_integer_game(rng);
   const Configuration start = random_configuration(g, rng);
-  expect_paths_match_move_for_move(g, start, kind, seed);
+  expect_paths_match_move_for_move(g, start, kind, seed ^ 0xF00D);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -526,7 +524,7 @@ TEST(BestResponseIndex, ReweightMatchesFreshRebuildForEveryKind) {
     // fractional weights.
     auto warm = make_scheduler(SchedulerKind::kRandomMiner, 9);
     for (int step = 0; step < 25; ++step) {
-      const auto move = warm->pick_indexed(g, s, index);
+      const auto move = warm->pick(g, s, index);
       if (!move) break;
       s.move(move->miner, move->to);
       index.sync(s);
@@ -546,8 +544,8 @@ TEST(BestResponseIndex, ReweightMatchesFreshRebuildForEveryKind) {
     auto sched = make_scheduler(kind, 555);
     auto fresh_sched = make_scheduler(kind, 555);
     for (int step = 0; step < 200; ++step) {
-      const auto a = sched->pick_indexed(g, s, index);
-      const auto b = fresh_sched->pick_indexed(fresh, fresh_s, fresh_index);
+      const auto a = sched->pick(g, s, index);
+      const auto b = fresh_sched->pick(fresh, fresh_s, fresh_index);
       ASSERT_EQ(a.has_value(), b.has_value()) << scheduler_kind_name(kind);
       if (!a) break;
       EXPECT_EQ(a->miner, b->miner) << scheduler_kind_name(kind);
@@ -566,18 +564,7 @@ TEST(IndexedScheduler, TieGameTrajectoriesMatchForEveryKind) {
   for (const SchedulerKind kind : all_scheduler_kinds()) {
     const Game g = tie_game(10, 3);
     Rng rng(77);
-    const Configuration start = random_configuration(g, rng);
-    LearningOptions scan_opts;
-    scan_opts.use_index = false;
-    LearningOptions index_opts;
-    index_opts.use_index = true;
-    auto a = make_scheduler(kind, 5);
-    auto b = make_scheduler(kind, 5);
-    const auto scan = run_learning(g, start, *a, scan_opts);
-    const auto indexed = run_learning(g, start, *b, index_opts);
-    EXPECT_EQ(scan.steps, indexed.steps) << scheduler_kind_name(kind);
-    EXPECT_EQ(scan.move_hash, indexed.move_hash) << scheduler_kind_name(kind);
-    EXPECT_TRUE(scan.final_configuration == indexed.final_configuration);
+    expect_paths_match_move_for_move(g, random_configuration(g, rng), kind, 5);
   }
 }
 
@@ -598,17 +585,7 @@ TEST(IndexedScheduler, RestrictedAccessTrajectoriesMatch) {
       assignment.push_back(g.allowed_coins(MinerId(p)).front());
     }
     const Configuration start(g.system_ptr(), assignment);
-    LearningOptions scan_opts;
-    scan_opts.use_index = false;
-    LearningOptions index_opts;
-    index_opts.use_index = true;
-    index_opts.audit_potential = true;  // audits the index every step
-    auto a = make_scheduler(kind, 9);
-    auto b = make_scheduler(kind, 9);
-    const auto scan = run_learning(g, start, *a, scan_opts);
-    const auto indexed = run_learning(g, start, *b, index_opts);
-    EXPECT_EQ(scan.steps, indexed.steps) << scheduler_kind_name(kind);
-    EXPECT_EQ(scan.move_hash, indexed.move_hash) << scheduler_kind_name(kind);
+    expect_paths_match_move_for_move(g, start, kind, 9, /*audit=*/true);
   }
 }
 
@@ -616,19 +593,8 @@ TEST(IndexedScheduler, NonIntegerGameTrajectoriesMatch) {
   for (const SchedulerKind kind : all_scheduler_kinds()) {
     const Game g = rational_game();
     Rng rng(41);
-    const Configuration start = random_configuration(g, rng);
-    LearningOptions scan_opts;
-    scan_opts.use_index = false;
-    LearningOptions index_opts;
-    index_opts.use_index = true;
-    index_opts.audit_potential = true;
-    auto a = make_scheduler(kind, 3);
-    auto b = make_scheduler(kind, 3);
-    const auto scan = run_learning(g, start, *a, scan_opts);
-    const auto indexed = run_learning(g, start, *b, index_opts);
-    EXPECT_EQ(scan.steps, indexed.steps) << scheduler_kind_name(kind);
-    EXPECT_EQ(scan.move_hash, indexed.move_hash) << scheduler_kind_name(kind);
-    EXPECT_TRUE(scan.final_configuration == indexed.final_configuration);
+    expect_paths_match_move_for_move(g, random_configuration(g, rng), kind, 3,
+                                     /*audit=*/true);
   }
 }
 
@@ -645,7 +611,7 @@ TEST(IndexedScheduler, GainExtremalTrajectoriesMatchInOverflowRegime) {
       Rng rng(seed);
       const Game g = random_integer_game(rng);
       expect_paths_match_move_for_move(g, random_configuration(g, rng), kind,
-                                       seed);
+                                       seed ^ 0xF00D);
     }
   }
   EXPECT_EQ(exact_fallbacks().total(), 0u);
@@ -655,7 +621,7 @@ TEST(IndexedScheduler, GainExtremalTrajectoriesMatchInOverflowRegime) {
       Rng rng(seed);
       const Game g = overflow_game(rng);
       expect_paths_match_move_for_move(g, random_configuration(g, rng), kind,
-                                       seed);
+                                       seed ^ 0xF00D);
     }
   }
   EXPECT_GT(exact_fallbacks().total(), 0u);
@@ -670,40 +636,12 @@ TEST(IndexedEpsilon, ScanAndIndexPathsAgree) {
     const Configuration start = random_configuration(g, rng);
     for (const Rational& eps :
          {Rational(0), Rational(1, 100), Rational(1, 4)}) {
-      LearningOptions scan_opts;
-      scan_opts.use_index = false;
-      LearningOptions index_opts;
-      index_opts.use_index = true;
-      const auto scan = run_learning_to_epsilon(g, start, eps, scan_opts);
-      const auto indexed = run_learning_to_epsilon(g, start, eps, index_opts);
+      const auto scan = oracle::run_learning_to_epsilon(g, start, eps);
+      const auto indexed = run_learning_to_epsilon(g, start, eps);
       EXPECT_EQ(scan.steps, indexed.steps);
       EXPECT_EQ(scan.move_hash, indexed.move_hash);
       EXPECT_TRUE(scan.final_configuration == indexed.final_configuration);
       EXPECT_TRUE(scan.converged && indexed.converged);
-    }
-  }
-}
-
-// ------------------------------------------------- scan-path helper parity
-
-TEST(MoveScanHelpers, CountAndNthMatchMaterializedVector) {
-  Rng rng(61);
-  for (int trial = 0; trial < 8; ++trial) {
-    const Game g = random_integer_game(rng);
-    const Configuration s = random_configuration(g, rng);
-    const auto moves = all_better_response_moves(g, s);
-    EXPECT_EQ(count_all_better_response_moves(g, s), moves.size());
-    for (std::size_t i = 0; i < moves.size(); ++i) {
-      const auto nth = nth_better_response_move(g, s, i);
-      ASSERT_TRUE(nth.has_value());
-      EXPECT_EQ(nth->miner, moves[i].miner);
-      EXPECT_EQ(nth->to, moves[i].to);
-      EXPECT_EQ(nth->gain, moves[i].gain);
-    }
-    EXPECT_FALSE(nth_better_response_move(g, s, moves.size()).has_value());
-    for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
-      EXPECT_EQ(count_better_responses(g, s, MinerId(p)),
-                better_responses(g, s, MinerId(p)).size());
     }
   }
 }

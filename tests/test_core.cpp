@@ -7,9 +7,12 @@
 #include "core/moves.hpp"
 #include "core/reward.hpp"
 #include "core/system.hpp"
+#include "oracle/oracle.hpp"
 
 namespace goc {
 namespace {
+
+using oracle::for_each_configuration;
 
 Game prop1_game() {
   // The worked example from Proposition 1: m = (2, 1), F ≡ 1, two coins.
@@ -247,8 +250,8 @@ TEST(Moves, EquilibriumDetection) {
   const Configuration shared(g.system_ptr(), {CoinId(0), CoinId(0)});
   EXPECT_TRUE(is_equilibrium(g, split));
   EXPECT_FALSE(is_equilibrium(g, shared));
-  EXPECT_TRUE(unstable_miners(g, split).empty());
-  EXPECT_EQ(unstable_miners(g, shared).size(), 2u);
+  EXPECT_TRUE(oracle::unstable_miners(g, split).empty());
+  EXPECT_EQ(oracle::unstable_miners(g, shared).size(), 2u);
 }
 
 TEST(Moves, BestResponsePicksMaxGain) {

@@ -2,9 +2,11 @@
 
 #include "core/generators.hpp"
 #include "core/moves.hpp"
+#include "dynamics/best_response_index.hpp"
 #include "dynamics/learning.hpp"
 #include "dynamics/noisy.hpp"
 #include "dynamics/scheduler.hpp"
+#include "oracle/oracle.hpp"
 
 namespace goc {
 namespace {
@@ -12,6 +14,12 @@ namespace {
 Game small_game() {
   return Game(System::from_integer_powers({8, 4, 2, 1}, 3),
               RewardFunction::from_integers({30, 20, 10}));
+}
+
+/// One pick from `s`, with a fresh index in sync with it.
+std::optional<Move> pick_at(Scheduler& sched, const Game& g,
+                            const Configuration& s) {
+  return sched.pick(g, s, dynamics::BestResponseIndex(g, s));
 }
 
 // --------------------------------------------------------------- schedulers
@@ -32,7 +40,7 @@ TEST(Scheduler, NulloptAtEquilibrium) {
   const Configuration eq(g.system_ptr(), {CoinId(0), CoinId(1)});
   for (const SchedulerKind kind : all_scheduler_kinds()) {
     auto sched = make_scheduler(kind, 5);
-    EXPECT_FALSE(sched->pick(g, eq).has_value()) << sched->name();
+    EXPECT_FALSE(pick_at(*sched, g, eq).has_value()) << sched->name();
   }
 }
 
@@ -43,7 +51,7 @@ TEST(Scheduler, PicksOnlyImprovingMoves) {
     auto sched = make_scheduler(kind, 7);
     for (int trial = 0; trial < 20; ++trial) {
       const Configuration s = random_configuration(g, rng);
-      const auto move = sched->pick(g, s);
+      const auto move = pick_at(*sched, g, s);
       if (!move) {
         EXPECT_TRUE(is_equilibrium(g, s)) << sched->name();
         continue;
@@ -63,7 +71,7 @@ TEST(Scheduler, MaxGainPicksGlobalMaximum) {
   Rng rng(5);
   for (int trial = 0; trial < 20; ++trial) {
     const Configuration s = random_configuration(g, rng);
-    const auto move = sched->pick(g, s);
+    const auto move = pick_at(*sched, g, s);
     if (!move) continue;
     for (const Move& m : all_better_response_moves(g, s)) {
       EXPECT_GE(move->gain, m.gain);
@@ -77,7 +85,7 @@ TEST(Scheduler, MinGainPicksGlobalMinimum) {
   Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {
     const Configuration s = random_configuration(g, rng);
-    const auto move = sched->pick(g, s);
+    const auto move = pick_at(*sched, g, s);
     if (!move) continue;
     for (const Move& m : all_better_response_moves(g, s)) {
       EXPECT_LE(move->gain, m.gain);
@@ -92,8 +100,8 @@ TEST(Scheduler, LexicographicDeterministic) {
   Rng rng(9);
   for (int trial = 0; trial < 10; ++trial) {
     const Configuration s = random_configuration(g, rng);
-    const auto ma = a->pick(g, s);
-    const auto mb = b->pick(g, s);
+    const auto ma = pick_at(*a, g, s);
+    const auto mb = pick_at(*b, g, s);
     ASSERT_EQ(ma.has_value(), mb.has_value());
     if (ma) {
       EXPECT_EQ(ma->miner, mb->miner);
@@ -108,9 +116,9 @@ TEST(Scheduler, LargestFirstMovesHeaviestUnstable) {
   Rng rng(11);
   for (int trial = 0; trial < 20; ++trial) {
     const Configuration s = random_configuration(g, rng);
-    const auto move = sched->pick(g, s);
+    const auto move = pick_at(*sched, g, s);
     if (!move) continue;
-    for (const MinerId p : unstable_miners(g, s)) {
+    for (const MinerId p : oracle::unstable_miners(g, s)) {
       EXPECT_LE(g.system().power(p), g.system().power(move->miner));
     }
   }
@@ -124,8 +132,8 @@ TEST(Scheduler, PowerOrderedBreaksTiesOnLowestId) {
   const Configuration shared(g.system_ptr(), {CoinId(0), CoinId(0)});
   auto largest = make_scheduler(SchedulerKind::kLargestFirst);
   auto smallest = make_scheduler(SchedulerKind::kSmallestFirst);
-  const auto ml = largest->pick(g, shared);
-  const auto ms = smallest->pick(g, shared);
+  const auto ml = pick_at(*largest, g, shared);
+  const auto ms = pick_at(*smallest, g, shared);
   ASSERT_TRUE(ml && ms);
   EXPECT_EQ(ml->miner, MinerId(0));
   EXPECT_EQ(ms->miner, MinerId(0));

@@ -11,10 +11,13 @@
 #include "equilibrium/enumerate.hpp"
 #include "int64_bound_games.hpp"
 #include "obs/registry.hpp"
+#include "oracle/oracle.hpp"
 #include "potential/exact_potential.hpp"
 
 namespace goc {
 namespace {
+
+using oracle::for_each_configuration;
 
 EnumerationOptions opts_with(std::size_t threads, bool symmetry) {
   EnumerationOptions opts;
@@ -290,7 +293,7 @@ TEST(Orbits, SizesPartitionTheFullSpace) {
 
 TEST(EnumerationEngine, GoldenEquilibriumSetsAcrossShapes) {
   for (const Game& g : golden_games()) {
-    const auto reference = enumerate_equilibria_scan(g);
+    const auto reference = oracle::enumerate_equilibria_scan(g);
     ASSERT_FALSE(reference.empty());
     // Default path (serial, symmetry on), parallel, and symmetry-off must
     // all reproduce the reference exactly — order included.
@@ -316,7 +319,7 @@ TEST(EnumerationEngine, CanonicalRepresentativesExpandToFullCount) {
   Game g(System::from_integer_powers({3, 3, 3, 3, 3}, 2),
          RewardFunction::from_integers({10, 7}));
   const auto canonical = enumerate_canonical_equilibria(g, opts_with(1, true));
-  const auto full = enumerate_equilibria_scan(g);
+  const auto full = oracle::enumerate_equilibria_scan(g);
   EXPECT_EQ(canonical.total(), full.size());
   // With 5 interchangeable miners the reduction is real: far fewer
   // representatives than equilibria.
@@ -367,7 +370,8 @@ TEST(AccessTrackerTest, MatchesFromScratchScan) {
 
 TEST(NeverAloneEngine, AgreesWithScanAcrossShapes) {
   for (const Game& g : golden_games()) {
-    const bool reference = find_never_alone_violation_scan(g).has_value();
+    const bool reference =
+        oracle::find_never_alone_violation_scan(g).has_value();
     const auto engine = find_never_alone_violation(g);
     EXPECT_EQ(engine.has_value(), reference) << g.to_string();
     ParallelOpts sym(4, true);
@@ -430,7 +434,7 @@ TEST(IntegerWalkWidth, AgreesWithScansOnBothSidesOfTheBound) {
           2 + static_cast<std::size_t>(rng.next_below(2));
       const Game g = testing::int64_bound_game(rng, miners, coins, above);
       ASSERT_EQ(MoveComparator(g).narrow_mode(), !above) << g.to_string();
-      const auto scan = enumerate_equilibria_scan(g);
+      const auto scan = oracle::enumerate_equilibria_scan(g);
 
       reset_walk_widths();
       const CanonicalEquilibria canonical =
@@ -450,7 +454,7 @@ TEST(IntegerWalkWidth, AgreesWithScansOnBothSidesOfTheBound) {
       EXPECT_EQ(walk_widths().int64, above ? 0u : 1u);
       EXPECT_EQ(walk_widths().i128, above ? 1u : 0u);
       EXPECT_EQ(witness.has_value(),
-                find_never_alone_violation_scan(g).has_value());
+                oracle::find_never_alone_violation_scan(g).has_value());
       if (witness.has_value()) {
         EXPECT_EQ(never_alone_violation_at(g, witness->s), witness->coin);
       }
@@ -476,14 +480,14 @@ TEST(IntegerWalkWidth, GeneratorGamesWalkOnInt64) {
 
 TEST(ExactPotentialEngine, AgreesWithScanAcrossShapes) {
   for (const Game& g : golden_games()) {
-    const bool reference = has_exact_potential_scan(g);
+    const bool reference = oracle::has_exact_potential_scan(g);
     EXPECT_EQ(has_exact_potential(g), reference) << g.to_string();
     ParallelOpts sym(4, true);
     EXPECT_EQ(has_exact_potential(g, sym.opts), reference);
     ParallelOpts nosym(2, false);
     EXPECT_EQ(has_exact_potential(g, nosym.opts), reference);
     EXPECT_EQ(find_nonzero_four_cycle(g).has_value(),
-              find_nonzero_four_cycle_scan(g).has_value());
+              oracle::find_nonzero_four_cycle_scan(g).has_value());
   }
 }
 

@@ -6,6 +6,7 @@
 #include "core/moves.hpp"
 #include "design/intermediate.hpp"
 #include "design/stage_rewards.hpp"
+#include "dynamics/best_response_index.hpp"
 #include "dynamics/learning.hpp"
 #include "market/market_sim.hpp"
 #include "market/price_process.hpp"
@@ -19,7 +20,8 @@ namespace {
 /// Returns a syntactically valid move that is NOT a better response.
 class NonImprovingScheduler final : public Scheduler {
  public:
-  std::optional<Move> pick(const Game& game, const Configuration& s) override {
+  std::optional<Move> pick(const Game& game, const Configuration& s,
+                           const dynamics::BestResponseIndex&) override {
     // Claim a zero-gain "improvement" of miner 0 to the next coin.
     const MinerId p(0);
     const CoinId from = s.of(p);
@@ -32,7 +34,8 @@ class NonImprovingScheduler final : public Scheduler {
 /// Returns a move whose `from` does not match the configuration.
 class MisappliedScheduler final : public Scheduler {
  public:
-  std::optional<Move> pick(const Game& game, const Configuration& s) override {
+  std::optional<Move> pick(const Game& game, const Configuration& s,
+                           const dynamics::BestResponseIndex&) override {
     const MinerId p(0);
     const CoinId wrong_from(
         (s.of(p).value + 1) % static_cast<std::uint32_t>(game.num_coins()));
@@ -41,12 +44,41 @@ class MisappliedScheduler final : public Scheduler {
   std::string name() const override { return "malicious-misapplied"; }
 };
 
+/// A user-written rule (lowest unstable miner, lowest improving coin) that
+/// reads only the index, and checks that it is in sync at every call.
+class IndexOnlyScheduler final : public Scheduler {
+ public:
+  std::optional<Move> pick(const Game&, const Configuration& s,
+                           const dynamics::BestResponseIndex& index) override {
+    ++picks;
+    EXPECT_TRUE(index.in_sync(s)) << "pick " << picks;
+    if (index.unstable().empty()) return std::nullopt;
+    const MinerId p = index.unstable().front();
+    return index.move_to(p, index.nth_improving(p, 0));
+  }
+  std::string name() const override { return "index-only"; }
+
+  std::size_t picks = 0;
+};
+
+/// Expects `run_learning` to throw the InvariantError carrying `message`.
+void expect_learning_trips(const Game& g, const Configuration& s,
+                           Scheduler& sched, const std::string& message) {
+  try {
+    run_learning(g, s, sched);
+    ADD_FAILURE() << sched.name() << ": no InvariantError";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FailureInjection, LearningRejectsNonImprovingMove) {
   Game g(System::from_integer_powers({2, 1}, 2),
          RewardFunction::from_integers({1, 1}));
   const Configuration s(g.system_ptr(), {CoinId(0), CoinId(0)});
   NonImprovingScheduler sched;
-  EXPECT_THROW(run_learning(g, s, sched), InvariantError);
+  expect_learning_trips(g, s, sched, "scheduler produced a non-improving move");
 }
 
 TEST(FailureInjection, LearningRejectsMisappliedMove) {
@@ -54,7 +86,19 @@ TEST(FailureInjection, LearningRejectsMisappliedMove) {
          RewardFunction::from_integers({1, 1}));
   const Configuration s(g.system_ptr(), {CoinId(0), CoinId(0)});
   MisappliedScheduler sched;
-  EXPECT_THROW(run_learning(g, s, sched), InvariantError);
+  expect_learning_trips(g, s, sched,
+                        "scheduler produced a move that does not apply");
+}
+
+TEST(UserScheduler, ReceivesAnIndexInSyncAtEveryPick) {
+  Rng rng(19);
+  const Game g = random_game(GameSpec{}, rng);
+  IndexOnlyScheduler sched;
+  const LearningResult learned =
+      run_learning(g, random_configuration(g, rng), sched);
+  EXPECT_TRUE(learned.converged);
+  EXPECT_GT(learned.steps, 0u);
+  EXPECT_EQ(sched.picks, learned.steps + 1);  // the last pick finds none
 }
 
 // ------------------------------------------ exact arithmetic vs double ref

@@ -210,6 +210,25 @@ TEST(Server, RejectsUnknownFlagsAndKinds) {
   EXPECT_EQ(server.jobs().size(), 0u);
 }
 
+TEST(Server, ErrLinesClipEchoedInputToABoundedLength) {
+  // A 1 MB value or verb is quoted back clipped, with its length.
+  Server server(ServerOptions{2});
+  const std::string huge(1u << 20, '7');
+  const std::pair<std::string, const char*> rejected[] = {
+      {"submit batch --scenario=chain-reference --miners=" + huge, "--miners"},
+      {huge, "unknown command"},
+  };
+  for (const auto& [request, names] : rejected) {
+    const std::string reply = respond(server, request);
+    EXPECT_EQ(reply.rfind("err ", 0), 0u) << reply.substr(0, 80);
+    EXPECT_EQ(reply.find('\n'), reply.size() - 1);  // exactly one line
+    EXPECT_LT(reply.size(), 256u) << reply.substr(0, 80);
+    EXPECT_NE(reply.find(names), std::string::npos) << reply;
+    EXPECT_NE(reply.find("[1048576 bytes]"), std::string::npos) << reply;
+  }
+  EXPECT_EQ(server.jobs().size(), 0u);
+}
+
 TEST(Server, AcceptsTheShortestWorkableMarketHorizons) {
   // Just past the limits the refusals above enforce: one hourly epoch for
   // market-random, half a day past the reversal for market-fork.
