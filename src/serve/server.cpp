@@ -1,9 +1,10 @@
 #include "serve/server.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <exception>
+#include <functional>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -17,7 +18,6 @@
 #include "io/serialize.hpp"
 #include "obs/registry.hpp"
 #include "market/scenario.hpp"
-#include "serve/request.hpp"
 #include "sim/batch_cli.hpp"
 #include "sim/scenarios.hpp"
 #include "sim/trajectory.hpp"
@@ -29,62 +29,12 @@ namespace goc::serve {
 
 namespace {
 
-/// Shared flag vocabulary, spliced per command for `reject_unknown`.
-std::vector<std::string> with_batch_names(std::vector<std::string> names) {
-  const auto& batch = sim::batch_cli_names();
-  names.insert(names.end(), batch.begin(), batch.end());
-  return names;
-}
-
 std::uint64_t parse_job_id(const std::vector<std::string>& args,
-                           const char* verb) {
+                           const std::string& verb) {
   if (args.empty() || args[0].rfind("--", 0) == 0) {
-    throw std::invalid_argument(std::string(verb) + " expects a job id");
+    throw std::invalid_argument(verb + " expects a job id");
   }
-  try {
-    return std::stoull(args[0]);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string(verb) + " expects a job id, got '" +
-                                clip_input(args[0]) + "'");
-  }
-}
-
-/// A size must be at least 1: zero would only fail later, inside the job,
-/// so it is rejected at submit, naming the flag.
-void require_positive_size(const std::string& name, std::uint64_t value) {
-  if (value == 0) {
-    throw std::invalid_argument("option --" + name + " must be at least 1");
-  }
-}
-
-/// A scenario size flag, rejected at submit when zero.
-std::size_t size_flag(const Cli& cli, const std::string& name,
-                      std::size_t fallback) {
-  const std::uint64_t value = cli.get_u64(name, fallback);
-  require_positive_size(name, value);
-  return value;
-}
-
-/// A simulated horizon in days, rejected at submit unless finite and
-/// positive: a negative or NaN horizon fails inside the simulator, zero
-/// runs an empty study, and an infinite one never ends.
-double days_flag(const Cli& cli, double fallback) {
-  const double days = cli.get_double("days", fallback);
-  if (!std::isfinite(days) || days <= 0) {
-    throw std::invalid_argument(
-        "option --days must be a finite number greater than 0");
-  }
-  return days;
-}
-
-/// A comma-separated list of sizes (a sweep axis); every entry must be at
-/// least 1.
-std::vector<std::size_t> size_list_flag(const Cli& cli,
-                                        const std::string& name) {
-  std::vector<std::size_t> values =
-      parse_size_list(cli.get_string(name, ""), "--" + name);
-  for (const std::size_t value : values) require_positive_size(name, value);
-  return values;
+  return parse_u64(verb + " <id>", args[0]);
 }
 
 /// The shared progress vocabulary of `status` and `watch` — both render
@@ -94,24 +44,6 @@ void write_progress_fields(std::ostream& out, const JobStatus& status) {
   out << " progress=" << status.progress.done << "/" << status.progress.total
       << " ci=" << status.progress.ci_halfwidth
       << " elapsed_ms=" << status.elapsed_ms;
-}
-
-/// Adapts a batch's wave-boundary `sim::BatchProgress` reports into the
-/// job table's progress slot.
-sim::TrajectoryBatchOptions with_progress(sim::TrajectoryBatchOptions options,
-                                          const engine::CancelView& cancel,
-                                          const JobTable::ProgressFn& report) {
-  options.cancel = cancel;
-  if (report) {
-    options.on_progress = [report](const sim::BatchProgress& progress) {
-      JobProgress job_progress;
-      job_progress.done = progress.completed;
-      job_progress.total = progress.requested;
-      job_progress.ci_halfwidth = progress.ci_halfwidth;
-      report(job_progress);
-    };
-  }
-  return options;
 }
 
 JobOutcome batch_outcome(const sim::TrajectoryBatchResult& result,
@@ -128,123 +60,92 @@ JobOutcome batch_outcome(const sim::TrajectoryBatchResult& result,
 
 Server::Server(ServerOptions options)
     : lanes_(engine::ThreadPool::resolve_lanes(options.threads)),
+      commands_(command_tables(lanes_)),
       pool_(engine::ThreadPool::workers_for(lanes_)) {}
 
 // ---------------------------------------------------------------- batch
 
-JobTable::Work Server::make_batch_work(const Cli& cli) {
-  reject_unknown(cli, with_batch_names({"scenario", "miners", "chains",
-                                        "coins", "days", "epoch-lanes",
-                                        "seed"}));
+JobTable::Work Server::make_batch_work(const Request& request) {
+  const Cli& cli = request.cli;
   sim::TrajectoryBatchOptions options;
   options.pool = &pool_;
   options.root_seed = cli.get_u64("seed", options.root_seed);
   sim::apply_batch_cli(cli, options);
 
-  const std::string scenario = cli.get_string("scenario", "chain-reference");
+  // A JobTable::Work must be copyable and market::Scenario is move-only
+  // (unique_ptr price processes), so each scenario's job rebuilds its
+  // prototype from deterministic parameters instead of capturing it.
+  using Options = sim::TrajectoryBatchOptions;
+  std::function<sim::TrajectoryBatchResult(const Options&)> run;
+  const std::string& scenario = request.flags->front().names.front();
   if (scenario == "chain-reference") {
     sim::ReferenceChainParams params;
-    params.miners = size_flag(cli, "miners", params.miners);
-    params.chains = size_flag(cli, "chains", params.chains);
-    params.days = days_flag(cli, params.days);
-    params.epoch_lanes = sim::epoch_lanes_from_cli(cli, params.epoch_lanes);
-    return [options, params](const engine::CancelView& cancel,
-                             const JobTable::ProgressFn& progress) {
-      const sim::TrajectoryBatchOptions opts =
-          with_progress(options, cancel, progress);
-      const auto factory = [&](std::uint64_t seed) {
-        return sim::make_reference_chain(params, sim::EngineKind::kFlat, seed);
-      };
-      return batch_outcome(sim::run_chain_batch(factory, opts),
-                           "goc-serve batch chain-reference");
+    params.miners = cli.get_u64("miners", params.miners);
+    params.chains = cli.get_u64("chains", params.chains);
+    params.days = cli.get_double("days", params.days);
+    params.epoch_lanes = cli.get_u64("epoch-lanes", params.epoch_lanes);
+    run = [params](const Options& opts) {
+      return sim::run_chain_batch(
+          [&](std::uint64_t seed) {
+            return sim::make_reference_chain(params, sim::EngineKind::kFlat,
+                                             seed);
+          },
+          opts);
     };
-  }
-  if (scenario == "market-random") {
-    const std::size_t miners = size_flag(cli, "miners", 48);
-    const std::size_t coins = size_flag(cli, "coins", 3);
-    const double days = days_flag(cli, 30.0);
-    // The scenario runs floor(days · 24) hourly epochs.
-    if (days * 24.0 < 1.0) {
-      throw std::invalid_argument(
-          "option --days must cover at least one hourly epoch (1/24 day) "
-          "for market-random");
-    }
+  } else if (scenario == "market-random") {
+    // floor(days · 24) hourly epochs: the --days range starts at one.
+    const std::size_t miners = cli.get_u64("miners", 48);
+    const std::size_t coins = cli.get_u64("coins", 3);
+    const double days = cli.get_double("days", 30.0);
     const std::uint64_t seed = options.root_seed;
-    // market::Scenario is move-only (unique_ptr price processes), and a
-    // JobTable::Work must be copyable — rebuild the prototype inside the
-    // job from its deterministic parameters instead of capturing it.
-    return [options, miners, coins, days, seed](
-               const engine::CancelView& cancel,
-               const JobTable::ProgressFn& progress) {
-      const sim::TrajectoryBatchOptions opts =
-          with_progress(options, cancel, progress);
-      const market::Scenario proto =
-          market::random_market_prototype(miners, coins, days, seed);
-      return batch_outcome(sim::run_market_batch(proto, opts),
-                           "goc-serve batch market-random");
+    run = [miners, coins, days, seed](const Options& opts) {
+      return sim::run_market_batch(
+          market::random_market_prototype(miners, coins, days, seed), opts);
     };
-  }
-  if (scenario == "market-fork") {
+  } else {
     market::ForkFlipParams params;
-    params.miners = size_flag(cli, "miners", params.miners);
-    params.days = days_flag(cli, params.days);
+    params.miners = cli.get_u64("miners", params.miners);
+    params.days = cli.get_double("days", params.days);
+    params.seed = cli.get_u64("seed", params.seed);
     if (params.days <= params.revert_day) {
       std::ostringstream message;
-      message << "option --days must be greater than the scripted reversal "
-                 "day ("
-              << params.revert_day << ") for market-fork";
+      message << "option --days must exceed market-fork's scripted reversal "
+              << "day (" << params.revert_day << ")";
       throw std::invalid_argument(message.str());
     }
-    params.seed = cli.get_u64("seed", params.seed);
-    return [options, params](const engine::CancelView& cancel,
-                             const JobTable::ProgressFn& progress) {
-      const sim::TrajectoryBatchOptions opts =
-          with_progress(options, cancel, progress);
-      const market::Scenario proto = market::fork_flip_prototype(params);
-      return batch_outcome(sim::run_market_batch(proto, opts),
-                           "goc-serve batch market-fork");
+    run = [params](const Options& opts) {
+      return sim::run_market_batch(market::fork_flip_prototype(params), opts);
     };
   }
-  throw std::invalid_argument(
-      "unknown batch scenario '" + clip_input(scenario) +
-      "' (chain-reference, market-random, market-fork)");
+  return [options, run, title = "goc-serve batch " + scenario](
+             const engine::CancelView& cancel,
+             const JobTable::ProgressFn& report) {
+    Options opts = options;
+    opts.cancel = cancel;
+    opts.on_progress = [report](const sim::BatchProgress& progress) {
+      report({progress.completed, progress.requested, progress.ci_halfwidth});
+    };
+    return batch_outcome(run(opts), title);
+  };
 }
 
 // ---------------------------------------------------------------- sweep
 
-JobTable::Work Server::make_sweep_work(const Cli& cli) {
-  reject_unknown(cli, {"miners", "coins", "power-shapes", "reward-shapes",
-                       "schedulers", "trials", "seed", "max-steps"});
+JobTable::Work Server::make_sweep_work(const Request& request) {
+  const Cli& cli = request.cli;
   engine::SweepSpec spec;
-  spec.miner_counts = size_list_flag(cli, "miners");
-  spec.coin_counts = size_list_flag(cli, "coins");
-  const auto split_names = [](const std::string& text) {
-    std::vector<std::string> items;
-    std::size_t start = 0;
-    while (start <= text.size() && !text.empty()) {
-      const std::size_t comma = text.find(',', start);
-      const std::string item =
-          text.substr(start, comma == std::string::npos ? std::string::npos
-                                                        : comma - start);
-      if (!item.empty()) items.push_back(item);
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    return items;
-  };
-  for (const std::string& name :
-       split_names(cli.get_string("power-shapes", ""))) {
-    spec.power_shapes.push_back(power_shape_from_name(name));
+  spec.miner_counts = request.items("miners");
+  spec.coin_counts = request.items("coins");
+  for (const std::size_t i : request.items("power-shapes")) {
+    spec.power_shapes.push_back(static_cast<PowerShape>(i));
   }
-  for (const std::string& name :
-       split_names(cli.get_string("reward-shapes", ""))) {
-    spec.reward_shapes.push_back(reward_shape_from_name(name));
+  for (const std::size_t i : request.items("reward-shapes")) {
+    spec.reward_shapes.push_back(static_cast<RewardShape>(i));
   }
-  for (const std::string& name :
-       split_names(cli.get_string("schedulers", ""))) {
-    spec.scheduler_kinds.push_back(scheduler_kind_from_name(name));
+  for (const std::size_t i : request.items("schedulers")) {
+    spec.scheduler_kinds.push_back(all_scheduler_kinds()[i]);
   }
-  spec.trials = size_flag(cli, "trials", spec.trials);
+  spec.trials = cli.get_u64("trials", spec.trials);
   spec.root_seed = cli.get_u64("seed", spec.root_seed);
   spec.learning.max_steps =
       cli.get_u64("max-steps", spec.learning.max_steps);
@@ -280,21 +181,31 @@ JobTable::Work Server::make_sweep_work(const Cli& cli) {
 
 // ------------------------------------------------------------ enumerate
 
-JobTable::Work Server::make_enumerate_work(const Cli& cli) {
-  reject_unknown(cli, {"miners", "coins", "power-shape", "reward-shape",
-                       "seed", "max-configs", "symmetry"});
+JobTable::Work Server::make_enumerate_work(const Request& request) {
+  const Cli& cli = request.cli;
+  const std::vector<std::size_t> power = request.items("power-shape");
+  const std::vector<std::size_t> reward = request.items("reward-shape");
   GameSpec spec;
-  spec.num_miners = size_flag(cli, "miners", spec.num_miners);
-  spec.num_coins = size_flag(cli, "coins", spec.num_coins);
-  spec.power_shape =
-      power_shape_from_name(cli.get_string("power-shape", "uniform"));
-  spec.reward_shape =
-      reward_shape_from_name(cli.get_string("reward-shape", "uniform"));
+  spec.num_miners = cli.get_u64("miners", spec.num_miners);
+  spec.num_coins = cli.get_u64("coins", spec.num_coins);
+  spec.power_shape = power.empty() ? PowerShape::kUniform
+                                   : static_cast<PowerShape>(power[0]);
+  spec.reward_shape = reward.empty() ? RewardShape::kUniform
+                                     : static_cast<RewardShape>(reward[0]);
   const std::uint64_t seed = cli.get_u64("seed", 2021);
   EnumerationOptions options;
   options.pool = &pool_;
   options.max_configs = cli.get_u64("max-configs", options.max_configs);
   options.symmetry = cli.get_bool("symmetry", options.symmetry);
+  std::uint64_t configs = 1;  // coins^miners, at most 2^22 · 256
+  for (std::size_t i = 0; i < spec.num_miners; ++i) {
+    configs *= spec.num_coins;
+    if (configs > options.max_configs) {
+      throw std::invalid_argument(
+          "coins^miners exceeds option --max-configs (" +
+          std::to_string(options.max_configs) + ")");
+    }
+  }
 
   return [spec, seed, options](const engine::CancelView& cancel,
                                const JobTable::ProgressFn&) {
@@ -329,18 +240,14 @@ JobTable::Work Server::make_enumerate_work(const Cli& cli) {
 void Server::cmd_submit(const std::string& kind,
                         const std::vector<std::string>& args,
                         std::ostream& out) {
-  const Cli cli = cli_from_tokens("goc-serve:" + kind, args);
-  JobTable::Work work;
-  if (kind == "batch") {
-    work = make_batch_work(cli);
-  } else if (kind == "sweep") {
-    work = make_sweep_work(cli);
-  } else if (kind == "enumerate") {
-    work = make_enumerate_work(cli);
-  } else {
+  if (kind != "batch" && kind != "sweep" && kind != "enumerate") {
     throw std::invalid_argument("unknown job kind '" + clip_input(kind) +
                                 "' (batch, sweep, enumerate)");
   }
+  const Request request = parse_request(commands_, kind, args);
+  JobTable::Work work = kind == "batch"   ? make_batch_work(request)
+                        : kind == "sweep" ? make_sweep_work(request)
+                                          : make_enumerate_work(request);
   const std::uint64_t id = jobs_.submit(kind, std::move(work));
   out << "ok id=" << id << " kind=" << kind << "\n";
 }
@@ -363,11 +270,9 @@ void Server::cmd_status(const std::vector<std::string>& args,
 void Server::cmd_watch(const std::vector<std::string>& args,
                        std::ostream& out) {
   const std::uint64_t id = parse_job_id(args, "watch");
-  const Cli cli = cli_from_tokens(
-      "goc-serve:watch",
-      std::vector<std::string>(args.begin() + 1, args.end()));
-  reject_unknown(cli, {"interval-ms"});
-  const std::uint64_t interval_ms = cli.get_u64("interval-ms", 50);
+  const std::uint64_t interval_ms =
+      parse_request(commands_, "watch", {args.begin() + 1, args.end()})
+          .cli.get_u64("interval-ms", 50);
 
   const auto write_row = [&out](const JobStatus& status) {
     out << "progress id=" << status.id
@@ -417,10 +322,10 @@ void Server::cmd_watch(const std::vector<std::string>& args,
 
 void Server::cmd_stats(const std::vector<std::string>& args,
                        std::ostream& out) {
-  const Cli cli = cli_from_tokens("goc-serve:stats", args);
-  reject_unknown(cli, {"json"});
+  const bool json =
+      parse_request(commands_, "stats", args).cli.get_bool("json", false);
   const obs::Snapshot snapshot = obs::Registry::instance().snapshot();
-  if (cli.get_bool("json", false)) {
+  if (json) {
     out << snapshot.to_json(/*compact=*/true) << "\n";
   } else {
     out << snapshot.to_prometheus();
@@ -433,11 +338,9 @@ void Server::cmd_stats(const std::vector<std::string>& args,
 void Server::cmd_result(const std::vector<std::string>& args,
                         std::ostream& out) {
   const std::uint64_t id = parse_job_id(args, "result");
-  const Cli cli = cli_from_tokens(
-      "goc-serve:result",
-      std::vector<std::string>(args.begin() + 1, args.end()));
-  reject_unknown(cli, {"wait"});
-  const bool wait = cli.get_bool("wait", false);
+  const bool wait =
+      parse_request(commands_, "result", {args.begin() + 1, args.end()})
+          .cli.get_bool("wait", false);
   const auto fetched = jobs_.fetch(id, wait);
   if (!fetched) {
     out << "err unknown job " << id << "\n";
@@ -493,19 +396,15 @@ void Server::cmd_jobs(std::ostream& out) {
 }
 
 void Server::cmd_help(std::ostream& out) {
-  out << "# submit batch|sweep|enumerate [--flags...]  (bare kind works too)\n"
-      << "# status <id> | result <id> [--wait] | cancel <id> | jobs\n"
-      << "# watch <id> [--interval-ms=N]  streams progress rows until done\n"
-      << "# stats [--json]  process metrics (Prometheus text or one JSON "
-         "line)\n"
-      << "# batch: --scenario=chain-reference|market-random|market-fork\n"
-      << "#        --miners --chains --coins --days --epoch-lanes\n"
-      << "#        --seed --replicas --stop-* --checkpoint[-interval]\n"
-      << "# sweep: --miners=a,b --coins=a,b --power-shapes=... --trials\n"
-      << "#        --seed --max-steps\n"
-      << "# enumerate: --miners --coins --power-shape --reward-shape --seed\n"
-      << "#            --max-configs --symmetry\n"
-      << "ok help\n";
+  out << "# submit <kind> [flags], or just <kind> [flags]: kind batch, sweep "
+         "or enumerate\n"
+      << "# status <id> | result <id> | cancel <id> | watch <id> | jobs | "
+         "stats | ping | help | quit\n"
+      << "# lines hold at most " << kMaxLineBytes
+      << " bytes; each command's flags (batch has one table per scenario,"
+         " the first is the default):\n";
+  write_help(out, commands_);
+  out << "ok help\n";
 }
 
 bool Server::handle_line(const std::string& line, std::ostream& out) {
@@ -553,9 +452,20 @@ bool Server::handle_line(const std::string& line, std::ostream& out) {
 }
 
 void Server::serve(std::istream& in, std::ostream& out) {
-  std::string line;
-  while (std::getline(in, line)) {
-    const bool keep_going = handle_line(line, out);
+  std::string buffer(kMaxLineBytes + 1, '\0');
+  while (out) {
+    in.getline(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+    const auto count = static_cast<std::size_t>(in.gcount());
+    if (in.fail() && count == 0) return;  // end of input
+    bool keep_going = true;
+    if (in.fail()) {  // no newline within the limit
+      out << "err request line exceeds " << kMaxLineBytes << " bytes\n";
+      in.clear();
+      in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+    } else {  // gcount counts the newline unless the input ended first
+      keep_going = handle_line(
+          std::string(buffer.data(), count - (in.eof() ? 0 : 1)), out);
+    }
     out.flush();
     if (!keep_going) return;
   }

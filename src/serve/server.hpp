@@ -7,7 +7,7 @@
 
 #include "engine/thread_pool.hpp"
 #include "serve/job_table.hpp"
-#include "util/cli.hpp"
+#include "serve/request.hpp"
 
 /// \file server.hpp
 /// The engine-as-a-service daemon: a line-oriented text protocol over a
@@ -29,6 +29,9 @@
 /// ping | help | quit
 /// ```
 ///
+/// `help` prints each command's flags from its table (serve/request.hpp),
+/// which also validates every request before any job exists.
+///
 /// Jobs run asynchronously on driver threads that fan their inner work
 /// onto ONE warm shared `engine::ThreadPool` — the daemon's reason to
 /// exist: scripted studies submit many requests against an engine that
@@ -44,13 +47,16 @@ namespace goc::serve {
 
 struct ServerOptions {
   /// Lane count of the shared pool (`--threads` convention: 0 = one lane
-  /// per hardware thread, 1 = serial). Per-job `--threads` flags are
-  /// accepted but inert — pooled jobs always share this warm pool.
+  /// per hardware thread, 1 = serial). Jobs take no `--threads` of their
+  /// own: they all share this warm pool.
   std::size_t threads = 0;
 };
 
 class Server {
  public:
+  /// Request lines are at most this long (the newline excluded).
+  static constexpr std::size_t kMaxLineBytes = 65536;
+
   explicit Server(ServerOptions options);
 
   /// Handles one protocol line, writing the full response (payload lines
@@ -60,13 +66,18 @@ class Server {
   /// engine error becomes an `err` line.
   bool handle_line(const std::string& line, std::ostream& out);
 
-  /// Read-eval-print loop over a stream pair until `quit` or EOF.
+  /// Read-eval-print loop over a stream pair until `quit`, EOF, or a
+  /// failed `out`. A line over `kMaxLineBytes` gets one `err` line and is
+  /// discarded through its newline without being buffered whole.
   void serve(std::istream& in, std::ostream& out);
 
   /// Total lanes of the shared pool (workers + the driving thread).
   std::size_t lanes() const noexcept { return lanes_; }
 
   JobTable& jobs() noexcept { return jobs_; }
+
+  /// Every command's flag table, as validated and printed by `help`.
+  const std::vector<Command>& commands() const noexcept { return commands_; }
 
  private:
   void cmd_submit(const std::string& kind, const std::vector<std::string>& args,
@@ -79,11 +90,12 @@ class Server {
   void cmd_stats(const std::vector<std::string>& args, std::ostream& out);
   void cmd_help(std::ostream& out);
 
-  JobTable::Work make_batch_work(const Cli& cli);
-  JobTable::Work make_sweep_work(const Cli& cli);
-  JobTable::Work make_enumerate_work(const Cli& cli);
+  JobTable::Work make_batch_work(const Request& request);
+  JobTable::Work make_sweep_work(const Request& request);
+  JobTable::Work make_enumerate_work(const Request& request);
 
   std::size_t lanes_;
+  std::vector<Command> commands_;
   engine::ThreadPool pool_;
   // Declared after the pool: jobs join their drivers (which reference the
   // pool) before the pool's destructor runs.

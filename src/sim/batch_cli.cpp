@@ -1,5 +1,8 @@
 #include "sim/batch_cli.hpp"
 
+#include <limits>
+#include <stdexcept>
+
 namespace goc::sim {
 
 void apply_batch_cli(const Cli& cli, TrajectoryBatchOptions& options) {
@@ -21,6 +24,11 @@ void apply_batch_cli(const Cli& cli, TrajectoryBatchOptions& options) {
     rule.max_replicas = cli.get_u64(
         "stop-max", preseeded ? rule.max_replicas : options.replicas);
     rule.wave = cli.get_u64("stop-wave", rule.wave);
+    if (rule.max_replicas < rule.min_replicas) {
+      throw std::invalid_argument(
+          "option --stop-max (default --replicas) must be at least "
+          "--stop-min (" + std::to_string(rule.min_replicas) + ")");
+    }
     options.stopping = rule;
   }
   const std::string checkpoint = cli.get_string("checkpoint", "");
@@ -32,16 +40,28 @@ void apply_batch_cli(const Cli& cli, TrajectoryBatchOptions& options) {
   }
 }
 
-const std::vector<std::string>& batch_cli_names() {
-  static const std::vector<std::string> kNames = {
-      "replicas",  "threads",  "stop-metric", "stop-tol",
-      "stop-rel",  "stop-min", "stop-max",    "stop-wave",
-      "checkpoint", "checkpoint-interval"};
-  return kNames;
+FlagTable batch_cli_flags(const std::vector<std::string>& metrics) {
+  // 65536 bounds the requested × metrics value matrix a batch allocates.
+  return {
+      {"replicas", Flag::kU64, 1, 65536, "replicas (fixed R)"},
+      {"stop-metric", Flag::kName, 0, 0, "stop on this metric's 95% CI",
+       metrics},
+      {"stop-tol", Flag::kDouble, 0, std::numeric_limits<double>::infinity(),
+       "CI half-width target"},
+      {"stop-rel", Flag::kBool, 0, 0, "--stop-tol is relative to |mean|"},
+      {"stop-min", Flag::kU64, 2, 65536, "replicas before the first check"},
+      {"stop-max", Flag::kU64, 2, 65536, "replica ceiling (--replicas)"},
+      {"stop-wave", Flag::kU64, 1, 65536, "replicas per wave"}};
 }
 
-std::size_t epoch_lanes_from_cli(const Cli& cli, std::size_t fallback) {
-  return static_cast<std::size_t>(cli.get_u64("epoch-lanes", fallback));
+const std::vector<std::string>& batch_cli_names() {
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names = {"threads", "checkpoint",
+                                      "checkpoint-interval"};
+    for (const Flag& flag : batch_cli_flags({})) names.push_back(flag.name);
+    return names;
+  }();
+  return kNames;
 }
 
 }  // namespace goc::sim

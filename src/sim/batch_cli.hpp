@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -8,23 +7,17 @@
 #include "util/cli.hpp"
 
 /// \file batch_cli.hpp
-/// The shared Monte Carlo batch flags, single-sourced.
+/// The shared Monte Carlo batch flags, single-sourced: every surface that
+/// fans replicas — the benches, the examples and the serve daemon — maps
+/// them onto `sim::TrajectoryBatchOptions` through `apply_batch_cli`. They
+/// come in two groups:
 ///
-/// Every surface that fans replicas — the bench harnesses
-/// (`bench::apply_batch_cli` in bench_common.hpp forwards here), the
-/// examples, and the serve daemon's request parser — accepts the same
-/// flag vocabulary and maps it onto `sim::TrajectoryBatchOptions` through
-/// this one function:
-///
-/// ```
-/// --replicas=N --threads=N
-/// --stop-metric=NAME            engage CI-driven sequential stopping
-///   [--stop-tol=X]              95% CI half-width target (default 0)
-///   [--stop-rel]                interpret tolerance relative to |mean|
-///   [--stop-min=N --stop-max=N --stop-wave=N]
-/// --checkpoint=PATH             crash-safe wave-boundary checkpoints
-///   [--checkpoint-interval=N]   fixed-R replicas per write (default 16)
-/// ```
+/// - `batch_cli_flags()`: `--replicas` and the CI-driven sequential
+///   stopping rule `--stop-metric/-tol/-rel/-min/-max/-wave`, as a table;
+/// - the host group: `--threads` (this run's own pool) and `--checkpoint=
+///   PATH [--checkpoint-interval=N]` (crash-safe wave-boundary writes).
+///   They name threads and a file on the machine that runs the batch, so
+///   the benches accept them and the serve daemon does not.
 ///
 /// Contract: values already present in `options` act as defaults, so
 /// callers can pre-seed workload-specific rules — including a pre-seeded
@@ -35,17 +28,17 @@
 
 namespace goc::sim {
 
-/// Applies the shared batch flags onto `options` (see file comment for
-/// the grammar and the pre-seeding contract).
+/// Applies both flag groups onto `options` (see file comment for the
+/// grammar and the pre-seeding contract). Throws std::invalid_argument
+/// when the resulting `--stop-max` is below `--stop-min`.
 void apply_batch_cli(const Cli& cli, TrajectoryBatchOptions& options);
 
-/// The option names `apply_batch_cli` consumes — callers splice these
-/// into the known-name list they hand `Cli::unknown` to fail fast.
-const std::vector<std::string>& batch_cli_names();
+/// The replica and stopping flags as a table; `metrics` are the names
+/// `--stop-metric` accepts (the scenario's batch metrics).
+FlagTable batch_cli_flags(const std::vector<std::string>& metrics);
 
-/// The `--epoch-lanes` flag (`chain::ChainSimOptions::epoch_lanes` /
-/// `market::Fig1ReplayParams::epoch_lanes`): 0 = the sequential policy
-/// scan, >= 1 = the sharded simultaneous-move decision epoch.
-std::size_t epoch_lanes_from_cli(const Cli& cli, std::size_t fallback = 0);
+/// The names of both groups — callers splice these into the known-name
+/// list they hand `Cli::unknown` to fail fast.
+const std::vector<std::string>& batch_cli_names();
 
 }  // namespace goc::sim

@@ -53,9 +53,9 @@ namespace {
 
 /// Runs `parse(text, &consumed)` (a `std::sto*` function) and accepts the
 /// result only when the whole value was consumed and in range; otherwise
-/// the error names the flag.
+/// the error names `what`.
 template <typename Parse>
-auto parse_whole(const std::string& name, const std::string& text,
+auto parse_whole(const std::string& what, const std::string& text,
                  const char* expects, Parse parse) {
   try {
     std::size_t consumed = 0;
@@ -63,26 +63,14 @@ auto parse_whole(const std::string& name, const std::string& text,
     if (consumed == text.size()) return value;
   } catch (const std::exception&) {
   }
-  throw std::invalid_argument("option --" + name + " expects " + expects +
-                              ", got '" + clip_input(text) + "'");
+  throw std::invalid_argument(what + " expects " + expects + ", got '" +
+                              clip_input(text) + "'");
 }
 
 }  // namespace
 
-std::int64_t Cli::get_i64(const std::string& name, std::int64_t fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
-  return parse_whole(name, it->second, "an integer",
-                     [](const std::string& s, std::size_t* pos) {
-                       return std::stoll(s, pos);
-                     });
-}
-
-std::uint64_t Cli::get_u64(const std::string& name,
-                           std::uint64_t fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
-  return parse_whole(name, it->second, "an unsigned integer",
+std::uint64_t parse_u64(const std::string& what, const std::string& text) {
+  return parse_whole(what, text, "an unsigned integer",
                      [](const std::string& s, std::size_t* pos) {
                        // std::stoull accepts a sign and wraps "-5"; only
                        // plain digits are an unsigned integer here.
@@ -93,24 +81,48 @@ std::uint64_t Cli::get_u64(const std::string& name,
                      });
 }
 
-double Cli::get_double(const std::string& name, double fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
-  return parse_whole(name, it->second, "a number",
+double parse_double(const std::string& what, const std::string& text) {
+  return parse_whole(what, text, "a number",
                      [](const std::string& s, std::size_t* pos) {
                        return std::stod(s, pos);
                      });
 }
 
-bool Cli::get_bool(const std::string& name, bool fallback) const {
+bool parse_bool(const std::string& what, const std::string& text) {
+  if (text.empty() || text == "true" || text == "1" || text == "yes") {
+    return true;
+  }
+  if (text == "false" || text == "0" || text == "no") return false;
+  throw std::invalid_argument(what + " expects a boolean, got '" +
+                              clip_input(text) + "'");
+}
+
+std::int64_t Cli::get_i64(const std::string& name, std::int64_t fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  const std::string& v = it->second;
-  if (v.empty() || v == "true" || v == "1" || v == "yes") return true;
-  if (v == "false" || v == "0" || v == "no") return false;
-  throw std::invalid_argument("option --" + name +
-                              " expects a boolean, got '" + clip_input(v) +
-                              "'");
+  return parse_whole("option --" + name, it->second, "an integer",
+                     [](const std::string& s, std::size_t* pos) {
+                       return std::stoll(s, pos);
+                     });
+}
+
+std::uint64_t Cli::get_u64(const std::string& name,
+                           std::uint64_t fallback) const {
+  const auto it = options_.find(name);
+  return it == options_.end() ? fallback
+                              : parse_u64("option --" + name, it->second);
+}
+
+double Cli::get_double(const std::string& name, double fallback) const {
+  const auto it = options_.find(name);
+  return it == options_.end() ? fallback
+                              : parse_double("option --" + name, it->second);
+}
+
+bool Cli::get_bool(const std::string& name, bool fallback) const {
+  const auto it = options_.find(name);
+  return it == options_.end() ? fallback
+                              : parse_bool("option --" + name, it->second);
 }
 
 std::vector<std::string> Cli::unknown(

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 /// \file cli.hpp
@@ -19,6 +20,32 @@ namespace goc {
 /// bytes, else its first 64 bytes, then `... [N bytes]` with the original
 /// length, so an error line stays short whatever the input size.
 std::string clip_input(const std::string& text);
+
+/// The strict value parsers behind `Cli::get_*`, also for values that are
+/// not options (job ids, comma-list items): the whole text must parse, and
+/// the error names `what` (e.g. "option --miners") and quotes the text.
+std::uint64_t parse_u64(const std::string& what, const std::string& text);
+double parse_double(const std::string& what, const std::string& text);
+bool parse_bool(const std::string& what, const std::string& text);
+
+/// One row of a command's flag table, the single declaration of a flag:
+/// its name, how its value parses, the inclusive bounds of a number (of
+/// every item, for the list kinds), one line of help, and the fixed names
+/// of the name kinds (an item parses to its index in `names`).
+struct Flag {
+  enum Kind { kU64, kU64List, kDouble, kBool, kName, kNameList };
+  Flag(std::string name, Kind kind, double min, double max, std::string help,
+       std::vector<std::string> names = {})
+      : name(std::move(name)), kind(kind), min(min), max(max),
+        help(std::move(help)), names(std::move(names)) {}
+  std::string name;
+  Kind kind;
+  double min;
+  double max;  ///< infinity when unbounded
+  std::string help;
+  std::vector<std::string> names;
+};
+using FlagTable = std::vector<Flag>;
 
 class Cli {
  public:

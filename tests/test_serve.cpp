@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -11,6 +15,8 @@
 
 #include "engine/cancel.hpp"
 #include "obs/registry.hpp"
+#include "core/generators.hpp"
+#include "dynamics/scheduler.hpp"
 #include "serve/job_table.hpp"
 #include "serve/request.hpp"
 #include "serve/server.hpp"
@@ -31,31 +37,53 @@ TEST(Request, TokenizeSplitsOnWhitespaceAndStripsCr) {
   EXPECT_TRUE(tokenize(" \t \r").empty());
 }
 
-TEST(Request, CliFromTokensSharesCliConventions) {
-  const Cli cli = cli_from_tokens(
-      "goc-serve:batch", {"--replicas=4", "--stop-rel", "--seed", "11"});
+TEST(Request, ParseRequestSharesCliConventions) {
+  const std::vector<Command> commands = {
+      {"test", {{"replicas", Flag::kU64, 1, 64, ""},
+                {"stop-rel", Flag::kBool, 0, 0, ""},
+                {"seed", Flag::kU64, 0, 1e9, ""}}}};
+  const Cli cli = parse_request(commands, "test",
+                                {"--replicas=4", "--stop-rel", "--seed", "11"})
+                      .cli;
+  EXPECT_EQ(cli.program(), "goc-serve:test");
   EXPECT_EQ(cli.get_u64("replicas", 0), 4u);
   EXPECT_TRUE(cli.get_bool("stop-rel", false));
   EXPECT_EQ(cli.get_u64("seed", 0), 11u);
-  EXPECT_THROW(reject_unknown(cli, {"replicas", "seed"}),
+  EXPECT_THROW(parse_request(commands, "test", {"--replicas=4", "--stop-rew"}),
                std::invalid_argument);
-  EXPECT_NO_THROW(reject_unknown(cli, {"replicas", "stop-rel", "seed"}));
 }
 
-TEST(Request, ParseSizeList) {
-  EXPECT_EQ(parse_size_list("4,8,16", "--miners"),
+/// Name items parse to their index in the flag's list, which is the
+/// enumerator the server casts it to.
+TEST(Request, NameItemsMapToTheirEnumerators) {
+  const std::vector<Command> commands = command_tables(4);
+  const auto index_of = [&](const std::string& kind, const std::string& arg,
+                            const std::string& flag) {
+    return parse_request(commands, kind, {arg}).items(flag).at(0);
+  };
+  for (const PowerShape shape : {PowerShape::kEqual, PowerShape::kUniform,
+                                 PowerShape::kZipf, PowerShape::kPareto}) {
+    const std::string& name = power_shape_name(shape);
+    EXPECT_EQ(index_of("enumerate", "--power-shape=" + name, "power-shape"),
+              static_cast<std::size_t>(shape));
+    EXPECT_EQ(index_of("sweep", "--power-shapes=" + name, "power-shapes"),
+              static_cast<std::size_t>(shape));
+  }
+  for (const RewardShape shape :
+       {RewardShape::kEqual, RewardShape::kUniform, RewardShape::kMajors}) {
+    const std::string& name = reward_shape_name(shape);
+    EXPECT_EQ(index_of("enumerate", "--reward-shape=" + name, "reward-shape"),
+              static_cast<std::size_t>(shape));
+  }
+  for (std::size_t i = 0; i < all_scheduler_kinds().size(); ++i) {
+    const std::string& name = scheduler_kind_name(all_scheduler_kinds()[i]);
+    EXPECT_EQ(index_of("sweep", "--schedulers=" + name, "schedulers"), i);
+  }
+  EXPECT_EQ(parse_request(commands, "sweep", {"--miners=4,8,16"})
+                .items("miners"),
             (std::vector<std::size_t>{4, 8, 16}));
-  EXPECT_TRUE(parse_size_list("", "--miners").empty());
-  EXPECT_THROW(parse_size_list("4,x", "--miners"), std::invalid_argument);
-}
-
-TEST(Request, NameParsersRoundTripAndRejectUnknown) {
-  EXPECT_EQ(power_shape_from_name("pareto"), PowerShape::kPareto);
-  EXPECT_EQ(reward_shape_from_name("majors"), RewardShape::kMajors);
-  EXPECT_EQ(scheduler_kind_from_name("max-gain"), SchedulerKind::kMaxGain);
-  EXPECT_THROW(power_shape_from_name("bogus"), std::invalid_argument);
-  EXPECT_THROW(reward_shape_from_name("bogus"), std::invalid_argument);
-  EXPECT_THROW(scheduler_kind_from_name("bogus"), std::invalid_argument);
+  EXPECT_TRUE(
+      parse_request(commands, "sweep", {"--miners="}).items("miners").empty());
 }
 
 // ------------------------------------------------------------ job table
@@ -208,6 +236,201 @@ TEST(Server, RejectsUnknownFlagsAndKinds) {
     EXPECT_NE(reply.find(flag), std::string::npos) << request << " -> " << reply;
   }
   EXPECT_EQ(server.jobs().size(), 0u);
+}
+
+/// The request that puts `arg` on `command`'s table: the verb (with a job
+/// id for watch and result) and a batch table's own `--scenario`.
+std::string request_for(const Command& command, const std::string& arg) {
+  const std::string verb = command.name.substr(0, command.name.find(' '));
+  if (command.name != verb) return verb + " 1 " + arg;
+  if (verb == "stats") return verb + " " + arg;
+  const Flag& head = command.flags.front();
+  if (head.name != "scenario") return "submit " + verb + " " + arg;
+  return "submit batch --scenario=" + head.names.front() + " " + arg;
+}
+
+std::string number_text(double value) {
+  std::ostringstream text;
+  text.precision(17);
+  text << value;
+  return text.str();
+}
+
+/// Walks every command table: each flag is in `help`, each accepts a value
+/// at both ends of its range (or each of its names), and each bound fails
+/// one step past its end with an `err` naming the flag — before any job.
+TEST(Server, EveryTableFlagIsListedAcceptedAndBounded) {
+  Server server(ServerOptions{3});
+  const std::string help = respond(server, "help");
+  std::size_t rejected = 0;
+  for (const Command& command : server.commands()) {
+    const std::string verb = command.name.substr(0, command.name.find(' '));
+    for (const Flag& flag : command.flags) {
+      const std::string option = "--" + flag.name;
+      EXPECT_NE(help.find("#   " + option), std::string::npos) << option;
+      const bool integer =
+          flag.kind == Flag::kU64 || flag.kind == Flag::kU64List;
+      std::vector<std::string> valid;
+      std::vector<std::string> invalid;
+      if (flag.kind == Flag::kBool) {
+        valid = {"true", "false"};
+        invalid = {"maybe"};
+      } else if (!flag.names.empty()) {
+        valid = flag.names;
+        invalid = {"bogus"};
+      } else if (integer) {
+        valid.push_back(number_text(flag.min));
+        if (flag.min > 0) invalid.push_back(number_text(flag.min - 1));
+        if (!std::isinf(flag.max)) {
+          valid.push_back(number_text(flag.max));
+          invalid.push_back(number_text(flag.max + 1));
+        }
+      } else {
+        valid.push_back(number_text(flag.min));
+        invalid.push_back(number_text(flag.min - 1e-9));
+        if (!std::isinf(flag.max)) {
+          valid.push_back(number_text(flag.max));
+          invalid.push_back(number_text(flag.max + 1e-9));
+        }
+        invalid.push_back("inf");
+      }
+      const std::vector<std::string> scenario =
+          verb == "batch" ? std::vector<std::string>{"--scenario=" +
+                                                     command.flags[0].names[0]}
+                          : std::vector<std::string>{};
+      for (const std::string& value : valid) {
+        std::vector<std::string> args = scenario;
+        args.push_back(option + "=" + value);
+        EXPECT_NO_THROW(parse_request(server.commands(), verb, args))
+            << command.name << " " << option << "=" << value;
+      }
+      for (const std::string& value : invalid) {
+        // The validator first, so a broken bound never starts a job.
+        std::vector<std::string> args = scenario;
+        args.push_back(option + "=" + value);
+        EXPECT_THROW(parse_request(server.commands(), verb, args),
+                     std::invalid_argument)
+            << command.name << " " << option << "=" << value;
+        if (HasFailure()) return;
+        const std::string request =
+            request_for(command, option + "=" + value);
+        const std::string reply = respond(server, request);
+        EXPECT_EQ(reply.rfind("err ", 0), 0u) << request << " -> " << reply;
+        EXPECT_NE(reply.find(option), std::string::npos)
+            << request << " -> " << reply;
+        ++rejected;
+      }
+    }
+  }
+  EXPECT_GT(rejected, 40u);
+  EXPECT_EQ(respond(server, "jobs"), "ok jobs=0\n");
+}
+
+/// Requests that used to be admitted and then ignored a flag, misread a
+/// value, failed inside the job, or reached the host: each is one `err`
+/// line naming the flag or limit, and no job exists afterwards.
+TEST(Server, RefusesOutOfTableRequestsAtSubmit) {
+  Server server(ServerOptions{2});
+  const std::string checkpoint = testing::TempDir() + "goc_serve_probe.gocr";
+  std::remove(checkpoint.c_str());
+  const std::string lanes_past = std::to_string(server.lanes() + 1);
+  const std::pair<std::string, const char*> rejected[] = {
+      {"submit batch --scenario=chain-reference --miners=8 --coins=99",
+       "--coins"},
+      {"submit batch --scenario=market-random --chains=77", "--chains"},
+      {"submit batch --scenario=market-random --epoch-lanes=5",
+       "--epoch-lanes"},
+      {"submit batch --scenario=market-fork --coins=2", "--coins"},
+      {"submit batch --scenario=chain-ref", "--scenario"},
+      {"submit sweep --miners=5x", "--miners"},
+      {"submit sweep --miners=-1", "--miners"},
+      {"submit sweep --miners=4,x --coins=2", "--miners"},
+      {"submit sweep --miners=4, --coins=2", "--miners"},
+      {"submit sweep --power-shapes=pareto,bogus", "--power-shapes"},
+      {"submit sweep --reward-shapes=bogus", "--reward-shapes"},
+      {"submit sweep --schedulers=max-gain,bogus", "--schedulers"},
+      {"submit enumerate --power-shape=bogus", "--power-shape"},
+      {"submit enumerate --reward-shape=bogus", "--reward-shape"},
+      {"submit enumerate --symmetry=off", "--symmetry"},
+      {"status 1abc", "status"},
+      {"status -1", "status"},
+      {"cancel 2x", "cancel"},
+      {"submit batch --replicas=2 --checkpoint=" + checkpoint,
+       "--checkpoint"},
+      {"submit batch --replicas=2 --checkpoint-interval=1",
+       "--checkpoint-interval"},
+      {"submit batch --replicas=2 --threads=2", "--threads"},
+      {"submit batch --scenario=chain-reference --epoch-lanes=" + lanes_past,
+       "--epoch-lanes"},
+      {"submit batch --replicas=0", "--replicas"},
+      {"submit batch --replicas=65537 --miners=4 --chains=1 --days=0.05",
+       "--replicas"},
+      {"submit batch --stop-metric=blocks_total --stop-min=1", "--stop-min"},
+      {"submit batch --stop-metric=bogus", "--stop-metric"},
+      {"submit batch --scenario=market-random --stop-metric=blocks_total",
+       "--stop-metric"},
+      {"submit batch --replicas=4 --stop-metric=blocks_total", "--stop-max"},
+      {"submit batch --stop-metric=blocks_total --stop-min=9 --stop-max=8",
+       "--stop-max"},
+      {"submit batch --stop-metric=blocks_total --stop-wave=0", "--stop-wave"},
+      {"submit batch --stop-metric=blocks_total --stop-tol=nan", "--stop-tol"},
+      {"submit batch --miners=262145 --replicas=1 --days=0.05", "--miners"},
+      {"submit batch --chains=257 --replicas=1 --days=0.05", "--chains"},
+      {"submit batch --days=366 --miners=4 --replicas=1", "--days"},
+      {"submit enumerate --max-configs=0", "--max-configs"},
+      {"submit enumerate --max-configs=4194305", "--max-configs"},
+      {"submit enumerate --miners=20 --coins=3", "--max-configs"},
+      {"submit enumerate --miners=4 --coins=3 --max-configs=80",
+       "--max-configs"},
+      {"watch 999 --interval-ms=0", "--interval-ms"},
+      {"watch 999 --interval-ms=60001", "--interval-ms"},
+  };
+  for (const auto& [request, names] : rejected) {
+    const std::string reply = respond(server, request);
+    EXPECT_EQ(reply.rfind("err ", 0), 0u) << request << " -> " << reply;
+    EXPECT_EQ(reply.find('\n'), reply.size() - 1) << reply;  // one line
+    EXPECT_NE(reply.find(names), std::string::npos)
+        << request << " -> " << reply;
+  }
+  EXPECT_EQ(respond(server, "jobs"), "ok jobs=0\n");
+  EXPECT_FALSE(std::ifstream(checkpoint).good());
+  // The shortest admitted enumeration space: coins^miners = max-configs.
+  EXPECT_EQ(respond(server, "enumerate --miners=4 --coins=3 --max-configs=81"),
+            "ok id=1 kind=enumerate\n");
+  EXPECT_NE(respond(server, "result 1 --wait").find("state=done"),
+            std::string::npos);
+}
+
+/// Lists take comma-separated items with the scalar's parse and bounds; an
+/// empty list keeps the sweep's default axis.
+TEST(Server, SweepListsParseEveryItem) {
+  Server server(ServerOptions{2});
+  EXPECT_EQ(respond(server,
+                    "sweep --miners=4,8,16 --coins=2 --trials=1 "
+                    "--schedulers=max-gain --power-shapes=pareto"),
+            "ok id=1 kind=sweep\n");
+  EXPECT_EQ(respond(server,
+                    "sweep --miners= --coins=2 --trials=1 "
+                    "--schedulers=max-gain,min-gain --reward-shapes=majors"),
+            "ok id=2 kind=sweep\n");
+  EXPECT_NE(respond(server, "result 1 --wait").find(" tasks=3 "),
+            std::string::npos);
+  EXPECT_NE(respond(server, "result 2 --wait").find(" tasks=2 "),
+            std::string::npos);
+}
+
+TEST(Server, HelpPrintsEveryTable) {
+  Server server(ServerOptions{2});
+  const std::string help = respond(server, "help");
+  for (const char* option :
+       {"--reward-shapes=", "--schedulers=", "--power-shapes=",
+        "--scenario=market-fork", "--symmetry  ", "--stop-metric=",
+        "--interval-ms=N in [1, 60000]", "--epoch-lanes=N in [0, 2]"}) {
+    EXPECT_NE(help.find(option), std::string::npos) << option;
+  }
+  EXPECT_EQ(help.find("--checkpoint"), std::string::npos);
+  EXPECT_EQ(help.find("--threads"), std::string::npos);
+  EXPECT_EQ(help.substr(help.size() - 8), "ok help\n");
 }
 
 TEST(Server, ErrLinesClipEchoedInputToABoundedLength) {
@@ -462,6 +685,36 @@ TEST(Server, ServeLoopDrivesAFullSession) {
   EXPECT_NE(text.find("ok bye"), std::string::npos);
   // The loop stopped at quit: exactly one pong.
   EXPECT_EQ(text.find("ok pong"), text.rfind("ok pong"));
+}
+
+TEST(Server, ServeRefusesAnOverlongLineOnceAndCarriesOn) {
+  Server server(ServerOptions{2});
+  std::istringstream in(std::string(1u << 20, 'x') + "\nping\n");
+  std::ostringstream out;
+  server.serve(in, out);
+  EXPECT_EQ(out.str(), "err request line exceeds 65536 bytes\nok pong\n");
+
+  // A line of exactly the limit is read whole; one past it is refused,
+  // also when the input ends without a newline.
+  const std::string verb(Server::kMaxLineBytes, 'y');
+  std::istringstream at_limit(verb + "\n" + verb + "z");
+  std::ostringstream replies;
+  server.serve(at_limit, replies);
+  const std::string text = replies.str();
+  EXPECT_EQ(text.rfind("err unknown command 'yyy", 0), 0u);
+  EXPECT_NE(text.find("[65536 bytes]"), std::string::npos);
+  EXPECT_NE(text.find("\nerr request line exceeds 65536 bytes\n"),
+            std::string::npos);
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
+}
+
+TEST(Server, ServeStopsOnceOutputFails) {
+  Server server(ServerOptions{2});
+  std::istringstream in("ping\nping\n");
+  std::ostringstream out;
+  out.setstate(std::ios::badbit);
+  server.serve(in, out);
+  EXPECT_EQ(in.tellg(), 0);  // nothing read for a dead client
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 /// drives. `--port=N` serves the same protocol over a loopback-only TCP
 /// listener instead (one client at a time; jobs are still asynchronous
 /// on the shared pool): `quit` ends that client's connection and the
-/// daemon accepts the next one. Port 0 asks the OS for a free port; the
+/// daemon accepts the next one. Both modes run the one line loop,
+/// `Server::serve`, and its line-length limit. Port 0 asks the OS for a free port; the
 /// chosen one is announced on stdout. Remote exposure, auth, and
 /// admission control are explicitly out of scope (see ROADMAP follow-ups)
 /// — the listener binds 127.0.0.1 only.
@@ -20,9 +21,10 @@
 #include <csignal>
 #include <cstring>
 #include <iostream>
+#include <istream>
 #include <memory>
 #include <optional>
-#include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -33,15 +35,42 @@
 
 namespace {
 
-bool send_all(int fd, const std::string& text) {
-  std::size_t off = 0;
-  while (off < text.size()) {
-    const ::ssize_t n = ::send(fd, text.data() + off, text.size() - off, 0);
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
+/// A connected socket as a stream buffer, so a TCP client runs through
+/// `Server::serve` like stdin does: reads refill a small get area, writes
+/// collect in a put area that `sync` (the serve loop's flush) sends.
+class SocketBuf : public std::streambuf {
+ public:
+  explicit SocketBuf(int fd) : fd_(fd) { setp(out_, out_ + sizeof(out_)); }
+
+ protected:
+  int_type underflow() override {
+    const ::ssize_t n = ::read(fd_, in_, sizeof(in_));
+    if (n <= 0) return traits_type::eof();
+    setg(in_, in_, in_ + n);
+    return traits_type::to_int_type(in_[0]);
   }
-  return true;
-}
+  int_type overflow(int_type c) override {
+    if (sync() != 0) return traits_type::eof();
+    return traits_type::eq_int_type(c, traits_type::eof())
+               ? traits_type::not_eof(c)
+               : sputc(traits_type::to_char_type(c));
+  }
+  int sync() override {
+    for (const char* p = pbase(); p < pptr();) {
+      const ::ssize_t n =
+          ::send(fd_, p, static_cast<std::size_t>(pptr() - p), 0);
+      if (n <= 0) return -1;
+      p += n;
+    }
+    setp(out_, out_ + sizeof(out_));
+    return 0;
+  }
+
+ private:
+  int fd_;
+  char in_[4096];
+  char out_[4096];
+};
 
 int serve_tcp(goc::serve::Server& server, std::uint16_t port) {
   ::signal(SIGPIPE, SIG_IGN);  // a vanished client must not kill the daemon
@@ -77,23 +106,10 @@ int serve_tcp(goc::serve::Server& server, std::uint16_t port) {
       break;
     }
     GOC_LOG(Debug) << "goc-serve: client connected";
-    std::string buffer;
-    char chunk[4096];
-    bool open = true;
-    while (open) {
-      const ::ssize_t n = ::read(fd, chunk, sizeof(chunk));
-      if (n <= 0) break;
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      std::size_t pos;
-      while (open && (pos = buffer.find('\n')) != std::string::npos) {
-        const std::string line = buffer.substr(0, pos);
-        buffer.erase(0, pos + 1);
-        std::ostringstream reply;
-        const bool keep = server.handle_line(line, reply);
-        if (!send_all(fd, reply.str())) open = false;
-        if (!keep) open = false;
-      }
-    }
+    SocketBuf buffer(fd);
+    std::istream in(&buffer);
+    std::ostream out(&buffer);
+    server.serve(in, out);
     ::close(fd);
   }
   ::close(listener);
